@@ -97,24 +97,20 @@ def check_path(coloring: EdgeColoring, path: AltPath) -> None:
 def next_vertex(
     coloring: EdgeColoring, path: AltPath, debug: bool = False
 ) -> int | None:
-    """First neighbor of the path's last vertex reachable by the next color.
+    """The neighbor of the path's last vertex along the next color, or None.
 
-    Scans the last vertex's neighbors in adjacency order for an edge colored
-    `next_color(a, b, seq)`; returns None when there is none. A returned
-    candidate can never already lie on the path (debug mode asserts this; it
-    failing would mean the coloring or path invariants were broken).
+    The next color is `next_color(a, b, seq)`. Properness allows one edge of
+    each color at a vertex, so this is the first such neighbor in adjacency
+    order. A returned candidate can never already lie on the path (debug
+    mode asserts this; it failing would mean the coloring or path
+    invariants were broken).
     """
-    last = path.seq[-1]
-    want = next_color(path.a, path.b, path.seq)
-    row = coloring.matrix[last]
-    for z in coloring.graph.adj[last]:
-        if row[z] == want:
-            if debug and z in path.seq:
-                raise InvariantError(
-                    f"next_vertex candidate {z} already lies on path {path.seq}"
-                )
-            return z
-    return None
+    z = coloring.neighbor(path.seq[-1], next_color(path.a, path.b, path.seq))
+    if debug and z is not None and z in path.seq:
+        raise InvariantError(
+            f"next_vertex candidate {z} already lies on path {path.seq}"
+        )
+    return z
 
 
 def maximal_path(
@@ -153,7 +149,7 @@ def maximal_path(
         if not is_maximal_path(coloring, path):
             raise NotMaximalError(f"constructed path {seq} is not maximal")
         for z in coloring.graph.adj[x]:
-            if coloring.matrix[x][z] in (a, b) and z not in on_path:
+            if coloring.color_of(x, z) in (a, b) and z not in on_path:
                 raise InvariantError(
                     f"backward extension exists at {x} via {z}; "
                     "one-sided construction assumption violated"
@@ -196,11 +192,11 @@ def path_edges(path: AltPath) -> list[tuple[int, int]]:
 def invert(coloring: EdgeColoring, path: AltPath, debug: bool = False) -> None:
     """Swap colors a and b along a maximal alternating path. In place.
 
-    Two phases: uncolor every path edge (after which both colors are free on
-    every path vertex), then recolor the sequence front to back starting
-    with b, which re-establishes alternation with the two colors swapped.
-    Maximality is what makes the recoloring phase valid at the endpoints;
-    debug mode checks it up front and verifies `is_inverted` afterwards.
+    One pass front to back writes each path edge once, through the trusted
+    `assign`, starting with b, which re-establishes alternation with the
+    two colors swapped. Maximality is what makes the swap valid at the
+    endpoints; debug mode checks it up front and verifies `is_inverted`
+    afterwards.
     """
     seq = path.seq
     before = None
@@ -209,11 +205,9 @@ def invert(coloring: EdgeColoring, path: AltPath, debug: bool = False) -> None:
         if not is_maximal_path(coloring, path):
             raise NotMaximalError(f"cannot invert non-maximal path {seq}")
         before = coloring.copy()
-    for i in range(len(seq) - 1):
-        coloring.set_edge_color(seq[i], seq[i + 1], None)
     col, other = path.b, path.a
     for i in range(len(seq) - 1):
-        coloring.set_edge_color(seq[i], seq[i + 1], col)
+        coloring.assign(seq[i], seq[i + 1], col)
         col, other = other, col
     if debug:
         assert before is not None
@@ -244,8 +238,8 @@ def inversion_report(
     flipped: list[tuple[tuple[int, int], int, int]] = []
     sample: list[tuple[int, int]] = []
     for u, v in before.graph.edge_set():
-        old = before.matrix[u][v]
-        new = after.matrix[u][v]
+        old = before.color_of(u, v)
+        new = after.color_of(u, v)
         if old == new:
             if (u, v) not in on_path and len(sample) < sample_size:
                 sample.append((u, v))
@@ -273,8 +267,8 @@ def is_inverted(
     """
     on_path = set(all_adjacent_pairs(path.seq))
     for u, v in before.graph.edge_set():
-        old = before.matrix[u][v]
-        new = after.matrix[u][v]
+        old = before.color_of(u, v)
+        new = after.color_of(u, v)
         if (u, v) in on_path:
             if old == path.a and new != path.b:
                 return False

@@ -46,8 +46,8 @@ def maximal_fan(
 
     Repeatedly scans the not-yet-used neighbors of x in adjacency order and
     appends the first z whose edge color is free on the current last fan
-    vertex. Uncolored edges never qualify (no color is not a free color), so
-    the loop runs at most degree(x) times.
+    vertex (`EdgeColoring.fan_candidate`). Uncolored edges never qualify (no
+    color is not a free color), so the loop runs at most degree(x) times.
     """
     g = coloring.graph
     if not g.has_edge(x, y):
@@ -55,22 +55,11 @@ def maximal_fan(
     if coloring.color_of(x, y) is not None:
         raise EdgeAlreadyColoredError(f"edge ({x}, {y}) is already colored")
 
-    row = coloring.matrix[x]
-    incident = coloring._incident
     seq = [y]
     remaining = [z for z in g.adj[x] if z != y]
-    while True:
-        last_inc = incident[seq[-1]]
-        chosen = None
-        for z in remaining:
-            col = row[z]
-            if col is not None and col not in last_inc:
-                chosen = z
-                break
-        if chosen is None:
-            break
-        seq.append(chosen)
-        remaining.remove(chosen)
+    while (z := coloring.fan_candidate(x, seq[-1], remaining)) is not None:
+        seq.append(z)
+        remaining.remove(z)
     fan = Fan(x, tuple(seq))
     if debug:
         check_fan(coloring, fan)
@@ -107,15 +96,8 @@ def is_maximal_fan(coloring: EdgeColoring, fan: Fan) -> bool:
     """True iff no neighbor of the center outside the fan can be appended."""
     x = fan.center
     members = set(fan.seq)
-    last_inc = coloring._incident[fan.last()]
-    row = coloring.matrix[x]
-    for z in coloring.graph.adj[x]:
-        if z in members:
-            continue
-        col = row[z]
-        if col is not None and col not in last_inc:
-            return False
-    return True
+    outside = [z for z in coloring.graph.adj[x] if z not in members]
+    return coloring.fan_candidate(x, fan.last(), outside) is None
 
 
 def rotate_fan(
@@ -124,10 +106,11 @@ def rotate_fan(
     """Rotate the fan and color its last edge with `color`. In place.
 
     Each edge {x, f_i} (i < k) receives the old color of {x, f_(i+1)} and
-    {x, f_k} receives `color`, which must be valid for it. Processing runs
-    from the back so every intermediate recoloring is itself valid: the
-    displaced color has just been removed from x's edges and is free on the
-    predecessor by the fan property.
+    {x, f_k} receives `color`, which must be valid for it (checked in debug
+    mode). Each edge is written once, through the trusted `assign`, from
+    the back, so every intermediate state is proper: the displaced color
+    has just been removed from x's edges and is free on the predecessor by
+    the fan property.
     """
     x = fan.center
     seq = fan.seq
@@ -142,11 +125,8 @@ def rotate_fan(
                 f"color {color} is not valid for the last fan edge ({x}, {seq[-1]})"
             )
     carry = color
-    row = coloring.matrix[x]
     for f in reversed(seq):
-        displaced = row[f]
-        coloring.set_edge_color(x, f, carry)
-        carry = displaced
+        carry = coloring.assign(x, f, carry)
     if debug:
         verdict = coloring.is_proper()
         if not verdict.proper:

@@ -57,14 +57,10 @@ def find_subfan(
     `a` is free on the result's last vertex after the inversion.
     """
     x = fan.center
-    row = coloring.matrix[x]
-    idx = None
-    for i, f in enumerate(fan.seq):
-        if row[f] == a:
-            idx = i
-            break
-    if idx is None:
+    z = coloring.neighbor(x, a)
+    if z not in fan.seq:
         return fan
+    idx = fan.seq.index(z)
     if idx == 0:
         # The first fan edge is uncolored by construction, never a.
         raise SubfanError(
@@ -104,7 +100,7 @@ def extend_coloring(
     for i, (x, y) in enumerate(edges):
         if debug:
             for u, v in edges[i:]:
-                if coloring.matrix[u][v] is not None:
+                if coloring.color_of(u, v) is not None:
                     raise InvariantError(
                         f"pending edge ({u}, {v}) is already colored"
                     )

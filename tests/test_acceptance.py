@@ -11,6 +11,7 @@ import contextlib
 import io
 import random
 import time
+import tracemalloc
 
 from mgcolor import (
     complete_graph,
@@ -180,6 +181,16 @@ def test_criterion_5_determinism(tmp_path):
     )
 
 
+def coloring_peak_bytes(g) -> int:
+    """Peak memory allocated while coloring `g` (the graph already exists)."""
+    tracemalloc.start()
+    try:
+        mk_edge_coloring(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_criterion_6_scale():
     g = gnp_graph(1000, 0.02, 60606)
     t0 = time.perf_counter()
@@ -187,12 +198,13 @@ def test_criterion_6_scale():
     elapsed = time.perf_counter() - t0
     verdict = verify_coloring(g, coloring)
     assert verdict.ok
-    # The matrix is the n-by-n dominant allocation.
-    assert len(coloring.matrix) == g.n and len(coloring.matrix[0]) == g.n
+    # Memory follows n and m: four times the vertices of a cycle cost about
+    # four times the memory, where an n-by-n table would cost sixteen.
+    small, large = (coloring_peak_bytes(cycle_graph(n)) for n in (2000, 8000))
     report(
-        "criterion 6: G(1000, 0.02) colored with debug checks off",
-        elapsed < 5.0,
-        f"m={g.m}, {elapsed:.2f}s < 5s",
+        "criterion 6: G(1000, 0.02) colored with debug checks off, memory linear",
+        elapsed < 5.0 and large < 6 * small,
+        f"m={g.m}, {elapsed:.2f}s < 5s, 4x the vertices -> {large / small:.1f}x the memory",
     )
 
 
