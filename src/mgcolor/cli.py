@@ -6,7 +6,9 @@ contract for harnesses:
   0  success / coloring is valid
   1  coloring is invalid (check only)
   2  input error: unparseable file, bad parameters, missing file
-  3  resource cap exceeded (oracle only)
+  3  resource cap exceeded: the oracle's edge cap, or out of memory
+  4  internal error: an unexpected exception (a bug); the traceback goes
+     to stderr
 
 All randomness flows from --seed; no command reads wall-clock entropy, so
 identical invocations produce byte-identical files.
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -200,6 +203,14 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except Exception:
+        import traceback  # only on this path, to keep start-up lean
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

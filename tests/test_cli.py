@@ -7,6 +7,7 @@ import json
 import pytest
 
 from mgcolor import format_dimacs, complete_graph, cycle_graph, parse_dimacs, petersen_graph
+from mgcolor import cli
 from mgcolor.cli import main
 
 
@@ -130,6 +131,28 @@ class TestOracle:
         gfile = write(tmp_path / "k8.gr", format_dimacs(complete_graph(8)))
         assert main(["oracle", gfile, "--max-edges", "28"]) == 0
         assert capsys.readouterr().out.strip() == "chi_prime 7"
+
+
+class TestExitContract:
+    # A command made to raise stands in for a real failure; nothing here
+    # exhausts memory.
+    def raise_from_color(self, monkeypatch, exc):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_color", failing)
+
+    def test_memory_error_exit_3(self, monkeypatch, k3_file, capsys):
+        self.raise_from_color(monkeypatch, MemoryError())
+        assert main(["color", k3_file]) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_unexpected_exception_exit_4(self, monkeypatch, k3_file, capsys):
+        self.raise_from_color(monkeypatch, RuntimeError("boom"))
+        assert main(["color", k3_file]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.rstrip().endswith("RuntimeError: boom")
 
 
 class TestGenStats:
