@@ -10,30 +10,21 @@ chromatic indices for small instances.
 
 from .altpath import (
     AltPath,
-    InversionReport,
-    adjacent,
-    all_adjacent_pairs,
-    alternates,
     check_path,
-    inversion_report,
     invert,
     is_inverted,
     is_maximal_path,
     maximal_path,
-    next_color,
-    next_vertex,
-    path_edges,
 )
 from .coloring import (
     Color,
     EdgeColoring,
     Verdict,
     Violation,
-    empty_coloring,
     format_coloring,
     parse_coloring,
 )
-from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan, singleton_fan
+from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan
 from .graph import (
     FAMILIES,
     Graph,
@@ -54,7 +45,6 @@ from . import errors
 
 __all__ = [
     "AltPath",
-    "InversionReport",
     "Color",
     "EdgeColoring",
     "FAMILIES",
@@ -63,15 +53,11 @@ __all__ = [
     "StepTrace",
     "Verdict",
     "Violation",
-    "adjacent",
-    "all_adjacent_pairs",
-    "alternates",
     "backtrack_color",
     "check_fan",
     "check_path",
     "complete_graph",
     "cycle_graph",
-    "empty_coloring",
     "errors",
     "exact_chromatic_index",
     "extend_coloring",
@@ -80,7 +66,6 @@ __all__ = [
     "format_dimacs",
     "gen_family",
     "gnp_graph",
-    "inversion_report",
     "invert",
     "is_inverted",
     "is_maximal_fan",
@@ -88,15 +73,11 @@ __all__ = [
     "maximal_fan",
     "maximal_path",
     "mk_edge_coloring",
-    "next_color",
-    "next_vertex",
     "parse_coloring",
     "parse_dimacs",
-    "path_edges",
     "path_graph",
     "petersen_graph",
     "rotate_fan",
-    "singleton_fan",
     "star_graph",
     "verify_coloring",
 ]

@@ -30,7 +30,7 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from .graph import Graph
+from .graph import Graph, _int_field
 
 Color = int | None
 
@@ -331,11 +331,6 @@ class EdgeColoring:
         return f"EdgeColoring(n={n}, palette={palette}, colored={colored})"
 
 
-def empty_coloring(graph: Graph, palette: int) -> EdgeColoring:
-    """The all-uncolored coloring of `graph` with the given palette size."""
-    return EdgeColoring(graph, palette)
-
-
 def format_coloring(coloring: EdgeColoring) -> str:
     """Serialize a coloring: `s <n> <m> <palette> <colors_used>` header, then
     one `e <u> <v> <color>` line per colored edge (all fields 1-based),
@@ -403,10 +398,3 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     if coloring is None:
         raise ParseError("missing 's' header")
     return coloring
-
-
-def _int_field(s: str, lineno: int) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {s!r}", lineno) from None

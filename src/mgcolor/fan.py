@@ -32,13 +32,6 @@ class Fan:
         return self.seq[-1]
 
 
-def singleton_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
-    """The one-element fan <y> around x; {x, y} must be a graph edge."""
-    if not coloring.graph.has_edge(x, y):
-        raise NotAnEdgeError(x, y)
-    return Fan(x, (y,))
-
-
 def maximal_fan(
     coloring: EdgeColoring, x: int, y: int, debug: bool = False
 ) -> Fan:

@@ -28,8 +28,8 @@ class Graph:
 
     Construction validates everything: neighbor ids in range, no self-loops,
     no multi-edges. Adjacency is stored symmetrically. Instances must not be
-    mutated after construction; `neighbors` returns the live internal list
-    for speed and callers must treat it as read-only.
+    mutated after construction; `adj[v]` is the live neighbor list of v in
+    insertion order, and callers must treat it as read-only.
     """
 
     __slots__ = ("n", "m", "adj", "_adj_sets", "_delta")
@@ -59,17 +59,6 @@ class Graph:
         self.m = m
         self._adj_sets = adj_sets
         self._delta = max((len(row) for row in adj), default=0)
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of `v` in insertion order (read-only view)."""
-        if not 0 <= v < self.n:
-            raise VertexRangeError(v, self.n)
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise VertexRangeError(v, self.n)
-        return len(self.adj[v])
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for edgeless or empty graphs."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .altpath import AltPath, invert, maximal_path
-from .coloring import EdgeColoring, empty_coloring
+from .coloring import EdgeColoring
 from .errors import InvariantError, PreconditionError, SubfanError
 from .fan import Fan, check_fan, maximal_fan, rotate_fan
 from .graph import Edge, Graph
@@ -156,6 +156,6 @@ def mk_edge_coloring(
     g: Graph, debug: bool = False, trace: list[StepTrace] | None = None
 ) -> EdgeColoring:
     """Complete proper edge coloring of `g` with palette max_degree + 1."""
-    coloring = empty_coloring(g, g.max_degree() + 1)
+    coloring = EdgeColoring(g, g.max_degree() + 1)
     extend_coloring(coloring, g.edge_set(), debug=debug, trace=trace)
     return coloring

@@ -118,8 +118,8 @@ def test_criterion_3_lemma_suite():
             rotate_fan(scratch, fan, pick_rotation_color(rng, coloring, fan), debug=True)
             rotations += 1
 
-        # Inversion lemma and the not-in-path lemma (asserted inside
-        # next_vertex during debug-mode path construction).
+        # Inversion lemma and the not-in-path lemma (asserted on every step
+        # of path construction).
         if coloring.palette >= 2:
             x = rng.randrange(g.n)
             free_colors = coloring.free_colors_on(x)

@@ -1,4 +1,4 @@
-"""Alternating paths: alternation predicate, construction, inversion lemma."""
+"""Alternating paths: the path checkers, construction, inversion lemma."""
 
 from __future__ import annotations
 
@@ -11,18 +11,12 @@ from hypothesis import strategies as st
 from mgcolor import (
     AltPath,
     EdgeColoring,
-    adjacent,
-    all_adjacent_pairs,
-    alternates,
+    Graph,
     check_path,
-    inversion_report,
     invert,
     is_inverted,
     is_maximal_path,
     maximal_path,
-    next_color,
-    next_vertex,
-    path_edges,
     path_graph,
 )
 from mgcolor.errors import (
@@ -34,63 +28,6 @@ from mgcolor.errors import (
 from tests.helpers import rand_graph, rand_proper_coloring
 
 
-def pair_fn(mapping):
-    """Symmetric pair-color function backed by a dict of canonical pairs."""
-
-    def fn(u, v):
-        key = (u, v) if u <= v else (v, u)
-        return mapping.get(key)
-
-    return fn
-
-
-class TestAlternates:
-    def test_short_lists_always_alternate(self):
-        fn = pair_fn({})
-        assert alternates(fn, "a", "b", [])
-        assert alternates(fn, "a", "b", [7])
-
-    def test_three_vertices(self):
-        good = pair_fn({(0, 1): "a", (1, 2): "b"})
-        bad = pair_fn({(0, 1): "a", (1, 2): "a"})
-        assert alternates(good, "a", "b", [0, 1, 2])
-        assert not alternates(bad, "a", "b", [0, 1, 2])
-
-    def test_first_pair_must_be_a(self):
-        fn = pair_fn({(0, 1): "b"})
-        assert not alternates(fn, "a", "b", [0, 1])
-
-
-class TestNextColor:
-    def test_base_cases(self):
-        assert next_color("a", "b", []) == "b"
-        assert next_color("a", "b", [1]) == "a"
-        assert next_color("a", "b", [1, 2]) == "b"
-        assert next_color("a", "b", [1, 2, 3]) == "a"
-
-    @given(st.integers(0, 12), st.integers(0, 5), st.integers(6, 11))
-    @settings(max_examples=120)
-    def test_append_characterization(self, length, a, b):
-        # Appending w keeps the list alternating iff the new pair's color is
-        # next_color; build an alternating list explicitly and try both ways.
-        mapping = {}
-        seq = list(range(length))
-        expect, other = a, b
-        for i in range(length - 1):
-            mapping[(seq[i], seq[i + 1])] = expect
-            expect, other = other, expect
-        fn = pair_fn(mapping)
-        assert alternates(fn, a, b, seq)
-        nxt = next_color(a, b, seq)
-        assert nxt in (a, b)
-        if seq:
-            new = length
-            mapping[(seq[-1], new)] = nxt
-            assert alternates(fn, a, b, seq + [new])
-            mapping[(seq[-1], new)] = a if nxt == b else b
-            assert not alternates(fn, a, b, seq + [new])
-
-
 def two_edge_instance():
     """Path 0-1-2 with (0, 1) colored 0; colors (a, b) = (0, 1)."""
     g = path_graph(3)
@@ -99,15 +36,84 @@ def two_edge_instance():
     return C
 
 
+def alternating_path(length, a, b, palette):
+    """Path 0-1-...-(length-1) whose edges are colored a, b, a, ... in order."""
+    C = EdgeColoring(path_graph(length), palette)
+    for i in range(length - 1):
+        C.set_edge_color(i, i + 1, b if i % 2 else a)
+    return C
+
+
+class TestAlternates:
+    """`check_path` accepts exactly the sequences whose edges alternate a, b."""
+
+    def test_short_lists_always_alternate(self):
+        C = two_edge_instance()
+        for v in range(3):
+            check_path(C, AltPath(0, 1, (v,)))
+            check_path(C, AltPath(1, 0, (v,)))
+
+    def test_three_vertices(self):
+        good = alternating_path(3, 0, 1, 3)
+        check_path(good, AltPath(0, 1, (0, 1, 2)))
+        bad = alternating_path(3, 0, 1, 3)
+        bad.set_edge_color_unchecked(1, 2, 0)
+        with pytest.raises(PathInvariantError):
+            check_path(bad, AltPath(0, 1, (0, 1, 2)))
+
+    def test_first_pair_must_be_a(self):
+        C = EdgeColoring(path_graph(2), 2)
+        C.set_edge_color(0, 1, 1)
+        with pytest.raises(PathInvariantError):
+            check_path(C, AltPath(0, 1, (0, 1)))
+
+
+class TestNextColor:
+    """The next edge of a path with an odd number of vertices needs color a,
+    otherwise b; `is_maximal_path` asks whether that color is free."""
+
+    def test_base_cases(self):
+        C = alternating_path(5, 0, 1, 3)
+        for k in range(1, 6):
+            # Each proper prefix ends at a vertex carrying the next color.
+            assert is_maximal_path(C, AltPath(0, 1, tuple(range(k)))) == (k == 5)
+        assert maximal_path(C, 0, 2, 0).seq == (0, 1)
+        assert maximal_path(C, 1, 0, 4).seq == (4, 3, 2, 1, 0)
+
+    @given(st.integers(1, 12), st.integers(0, 5), st.integers(6, 11))
+    @settings(max_examples=120)
+    def test_append_characterization(self, length, a, b):
+        # Appending a vertex keeps the path alternating iff the new edge has
+        # the color that `is_maximal_path` looks for on the shorter path.
+        C = alternating_path(length + 1, a, b, 12)
+        seq = tuple(range(length))
+        check_path(C, AltPath(a, b, seq))
+        extended = AltPath(a, b, seq + (length,))
+        nxt = b if length % 2 == 0 else a
+        assert C.color_of(length - 1, length) == nxt
+        assert not is_maximal_path(C, AltPath(a, b, seq))
+        check_path(C, extended)
+        assert is_maximal_path(C, extended)
+        C.set_edge_color_unchecked(length - 1, length, a if nxt == b else b)
+        with pytest.raises(PathInvariantError):
+            check_path(C, extended)
+
+
 class TestNextVertex:
+    """Each step of `maximal_path` follows the next color from the last vertex."""
+
     def test_none_when_no_candidate(self):
         C = two_edge_instance()
+        # Color 2 is on no edge at 0: no a-edge, so the path is [0].
+        assert maximal_path(C, 2, 1, 0, debug=True).seq == (0,)
         # From [0, 1] the next edge must be colored 1; vertex 1 has none.
-        assert next_vertex(C, AltPath(0, 1, (0, 1)), debug=True) is None
+        assert maximal_path(C, 0, 1, 0, debug=True).seq == (0, 1)
 
     def test_first_step_follows_color_a(self):
         C = two_edge_instance()
-        assert next_vertex(C, AltPath(0, 1, (0,)), debug=True) == 1
+        C.set_edge_color(1, 2, 1)
+        assert maximal_path(C, 0, 1, 0, debug=True).seq == (0, 1, 2)
+        assert maximal_path(C, 1, 0, 2, debug=True).seq == (2, 1, 0)
 
     def test_candidates_never_on_path(self):
         rng = random.Random(43)
@@ -123,13 +129,18 @@ class TestNextVertex:
                 continue
             b = rng.choice(free)
             a = rng.choice([c for c in range(C.palette) if c != b])
-            path = maximal_path(C, a, b, x)
-            for cut in range(1, len(path.seq) + 1):
-                prefix = AltPath(a, b, path.seq[:cut])
-                z = next_vertex(C, prefix, debug=True)  # debug asserts z not in prefix
-                if z is not None:
-                    observed += 1
+            path = maximal_path(C, a, b, x, debug=True)
+            assert len(set(path.seq)) == len(path.seq)
+            observed += len(path.seq) - 1
         assert observed > 100
+        # Only an improper coloring can lead the walk back onto the path:
+        # 0 -a- 1 -b- 2 -a- 0 gives vertex 0 two a-edges.
+        C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (2, 0)]), 3)
+        C.set_edge_color_unchecked(0, 1, 0)
+        C.set_edge_color_unchecked(1, 2, 1)
+        C.set_edge_color_unchecked(2, 0, 0)
+        with pytest.raises(InvariantError):
+            maximal_path(C, 0, 1, 0)
 
 
 class TestMaximalPath:
@@ -176,38 +187,11 @@ class TestMaximalPath:
             assert is_maximal_path(C, path)
             # One-sided construction suffices: nothing colored a or b leaves
             # x except along the path.
-            for z in g.neighbors(x):
+            for z in g.adj[x]:
                 if C.color_of(x, z) in (a, b):
                     assert z in path.seq
             built += 1
         assert built > 100
-
-
-class TestAdjacency:
-    def test_example(self):
-        assert all_adjacent_pairs(["x", "y", "z"]) == [
-            ("x", "y"),
-            ("y", "x"),
-            ("y", "z"),
-            ("z", "y"),
-        ]
-
-    def test_empty(self):
-        assert not adjacent(1, 2, [])
-        assert all_adjacent_pairs([5]) == []
-
-    def test_path_edges_of_altpath(self):
-        C = two_edge_instance()
-        C.set_edge_color(1, 2, 1)
-        path = maximal_path(C, 0, 1, 0)
-        assert path.seq == (0, 1, 2)
-        assert path_edges(path) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-        assert path_edges(AltPath(0, 1, (4,))) == []
-
-    @given(st.lists(st.integers(0, 6), max_size=8), st.integers(0, 6), st.integers(0, 6))
-    @settings(max_examples=200)
-    def test_membership_equivalence(self, xs, u, v):
-        assert ((u, v) in all_adjacent_pairs(xs)) == adjacent(u, v, xs)
 
 
 def random_path_instance(rng):
@@ -263,13 +247,15 @@ class TestInvert:
             invert(C, path, debug=True)
             assert C.is_proper().proper
             assert is_inverted(before, C, path)
-            report = inversion_report(before, C, path)
-            pair_set = set(all_adjacent_pairs(path.seq))
-            for edge, old, new in report.flipped_edges:
-                assert edge in pair_set
-                assert {old, new} == {path.a, path.b}
-            for u, v in report.untouched_sample:
-                assert before.color_of(u, v) == C.color_of(u, v)
+            # Exactly the colored path edges changed, each by an a/b swap.
+            pairs = set(zip(path.seq, path.seq[1:]))
+            pairs |= {(v, u) for u, v in pairs}
+            for u, v in C.graph.edge_set():
+                old, new = before.color_of(u, v), C.color_of(u, v)
+                if (u, v) in pairs and old is not None:
+                    assert {old, new} == {path.a, path.b}
+                else:
+                    assert old == new
             # count preserved; a- and b-edge counts swap along the path.
             assert C.count_colored() == before.count_colored()
             pairs = [
@@ -294,7 +280,7 @@ class TestInvert:
             invert(C, path)
             a, b = path.a, path.b
             # b was free on the start vertex; a must be free afterwards.
-            assert C.is_free(path.x, a)
+            assert C.is_free(path.seq[0], a)
             # Interior path vertices keep their whole free set.
             for v in path.seq[1:-1]:
                 assert before.free_colors_on(v) == C.free_colors_on(v)
@@ -306,9 +292,10 @@ class TestInvert:
                         assert C.is_free(v, col)
             # Any a/b-colored edge at a path vertex after inversion is a
             # path edge.
-            on_path = set(all_adjacent_pairs(path.seq))
+            on_path = set(zip(path.seq, path.seq[1:]))
+            on_path |= {(w, v) for v, w in on_path}
             for v in path.seq:
-                for w in C.graph.neighbors(v):
+                for w in C.graph.adj[v]:
                     if C.color_of(v, w) in (a, b):
                         assert (v, w) in on_path
             done += 1
@@ -330,8 +317,6 @@ class TestIsInverted:
         invert(after, path)
         after.set_edge_color(1, 2, 2)  # off-path edit
         assert not is_inverted(C, after, path)
-        with pytest.raises(InvariantError):
-            inversion_report(C, after, path)
 
     def test_report_rejects_non_swap_recoloring(self):
         g = path_graph(2)
@@ -340,8 +325,21 @@ class TestIsInverted:
         path = maximal_path(C, 0, 1, 0)
         after = C.copy()
         after.set_edge_color(0, 1, 2)  # changed, but not an a/b swap
-        with pytest.raises(InvariantError):
-            inversion_report(C, after, path)
+        assert not is_inverted(C, after, path)
+
+    def test_path_edge_of_another_color_must_keep_it(self):
+        # A sequence through an edge colored neither a nor b: the swap
+        # leaves that edge alone, so any change to it is rejected.
+        g = path_graph(3)
+        C = EdgeColoring(g, 3)
+        C.set_edge_color(0, 1, 0)
+        C.set_edge_color(1, 2, 2)
+        path = AltPath(0, 1, (0, 1, 2))
+        after = C.copy()
+        after.set_edge_color(0, 1, 1)
+        assert is_inverted(C, after, path)
+        after.set_edge_color(1, 2, 0)
+        assert not is_inverted(C, after, path)
 
     def test_check_path_rejects_garbage(self):
         C = two_edge_instance()

@@ -12,11 +12,11 @@ from mgcolor import (
     EdgeColoring,
     Graph,
     complete_graph,
-    empty_coloring,
     format_coloring,
     mk_edge_coloring,
     parse_coloring,
     path_graph,
+    star_graph,
 )
 from mgcolor.errors import (
     BadPaletteError,
@@ -35,7 +35,7 @@ def k3_coloring(palette: int = 3) -> EdgeColoring:
 
 class TestBasics:
     def test_empty(self):
-        C = empty_coloring(complete_graph(3), 3)
+        C = EdgeColoring(complete_graph(3), 3)
         assert all(C.color_of(u, v) is None for u in range(3) for v in range(3))
         assert C.count_colored() == 0
         assert C.colors_used() == 0
@@ -236,7 +236,7 @@ def test_free_and_incident_partition_palette(C: EdgeColoring):
         free = set(C.free_colors_on(v))
         incident = {
             C.color_of(v, w)
-            for w in C.graph.neighbors(v)
+            for w in C.graph.adj[v]
             if C.color_of(v, w) is not None
         }
         assert free | incident == set(range(C.palette))
@@ -281,6 +281,9 @@ def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
         free = [col for col in range(C.palette) if col not in by_color]
         if free:
             assert C.min_free_color(v) == free[0]
+        else:
+            with pytest.raises(InvalidColorError):
+                C.min_free_color(v)
         # A fan around v whose last vertex is 0 grows by the first vertex
         # whose edge to v has a color that is free on 0.
         expect = next(
@@ -325,6 +328,23 @@ def test_lookups_survive_removing_one_of_two_equal_colors():
     assert C.neighbor(0, 0) == 1
     assert not C.is_free(0, 0)
     assert C.min_free_color(0) == 1
+    assert_lookups_match_edge_colors(C)
+
+
+def test_min_free_color_beyond_the_table():
+    # A table row has min(palette, max_degree + 1) slots. With palette <=
+    # max_degree a full row leaves no free color at all.
+    C = EdgeColoring(star_graph(3), 3)
+    for leaf, col in [(1, 0), (2, 1), (3, 2)]:
+        C.set_edge_color(0, leaf, col)
+    assert C.free_colors_on(0) == []
+    assert_lookups_match_edge_colors(C)
+    # Colored non-edges (loaded from a file or written unchecked) can fill
+    # a row with free palette colors left beyond it.
+    C = EdgeColoring(Graph(3, [(0, 1)]), 4)
+    C.set_edge_color_unchecked(0, 2, 0)
+    C.set_edge_color_unchecked(0, 1, 1)
+    assert C.min_free_color(0) == 2
     assert_lookups_match_edge_colors(C)
 
 

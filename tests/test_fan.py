@@ -16,7 +16,6 @@ from mgcolor import (
     maximal_fan,
     mk_edge_coloring,
     rotate_fan,
-    singleton_fan,
     star_graph,
 )
 from mgcolor.errors import (
@@ -43,21 +42,25 @@ def star2_instance():
 
 
 class TestSingleton:
+    """The one-element fan <y> around x is valid iff {x, y} is an edge."""
+
     def test_k2(self):
         C = EdgeColoring(complete_graph(2), 2)
-        fan = singleton_fan(C, 0, 1)
-        assert fan == Fan(0, (1,))
+        fan = Fan(0, (1,))
         check_fan(C, fan)
+        assert maximal_fan(C, 0, 1) == fan
 
     def test_same_vertex_rejected(self):
         C = EdgeColoring(complete_graph(2), 2)
+        with pytest.raises(FanInvariantError):
+            check_fan(C, Fan(0, (0,)))
         with pytest.raises(NotAnEdgeError):
-            singleton_fan(C, 0, 0)
+            maximal_fan(C, 0, 0)
 
     def test_non_edge_rejected(self):
         C = EdgeColoring(Graph(3, [(0, 1)]), 2)
-        with pytest.raises(NotAnEdgeError):
-            singleton_fan(C, 0, 2)
+        with pytest.raises(FanInvariantError):
+            check_fan(C, Fan(0, (2,)))
 
 
 class TestMaximalFan:
@@ -106,7 +109,7 @@ class TestMaximalFan:
 
     def test_singleton_maximal_when_no_candidates(self):
         C = EdgeColoring(complete_graph(2), 2)
-        assert is_maximal_fan(C, singleton_fan(C, 0, 1))
+        assert is_maximal_fan(C, Fan(0, (1,)))
 
     def test_candidate_scan_follows_adjacency_order(self):
         # Two admissible candidates; the one mentioned first in the input
@@ -131,7 +134,7 @@ class TestMaximalFan:
                 continue
             x, y = free[rng.randrange(len(free))]
             fan = maximal_fan(C, x, y)
-            assert len(fan.seq) <= g.degree(x)
+            assert len(fan.seq) <= len(g.adj[x])
             assert len(set(fan.seq)) == len(fan.seq)
             assert x not in fan.seq
             assert fan.seq[0] == y
@@ -157,7 +160,7 @@ class TestCheckFan:
 class TestRotate:
     def test_singleton_unrolled(self):
         C = EdgeColoring(complete_graph(2), 2)
-        fan = singleton_fan(C, 0, 1)
+        fan = Fan(0, (1,))
         rotate_fan(C, fan, 0, debug=True)
         assert C.color_of(0, 1) == 0
         assert C.count_colored() == 1

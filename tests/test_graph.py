@@ -42,7 +42,7 @@ def graphs(draw, max_n: int = 9):
 class TestConstruction:
     def test_triangle(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert [g.degree(v) for v in range(3)] == [2, 2, 2]
+        assert [len(g.adj[v]) for v in range(3)] == [2, 2, 2]
         assert g.m == 3
 
     def test_isolated_vertices(self):
@@ -74,23 +74,19 @@ class TestConstruction:
 class TestQueries:
     def test_neighbors_triangle(self):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        assert g.neighbors(0) == [1, 2]
+        assert g.adj[0] == [1, 2]
 
     def test_neighbors_path(self):
         g = path_graph(3)
-        assert g.neighbors(1) == [0, 2]
+        assert g.adj[1] == [0, 2]
 
     def test_neighbors_isolated(self):
         g = Graph(4, [(0, 1)])
-        assert g.neighbors(3) == []
-
-    def test_neighbors_out_of_range(self):
-        with pytest.raises(VertexRangeError):
-            Graph(2).neighbors(2)
+        assert g.adj[3] == []
 
     def test_insertion_order_preserved(self):
         g = Graph(4, [(2, 1), (1, 3), (1, 0)])
-        assert g.neighbors(1) == [2, 3, 0]
+        assert g.adj[1] == [2, 3, 0]
 
     def test_max_degree(self):
         assert complete_graph(4).max_degree() == 3
@@ -126,7 +122,7 @@ class TestGenerators:
     def test_petersen(self):
         g = petersen_graph()
         assert (g.n, g.m, g.max_degree()) == (10, 15, 3)
-        assert all(g.degree(v) == 3 for v in range(10))
+        assert all(len(g.adj[v]) == 3 for v in range(10))
 
     def test_gnp_deterministic(self):
         a = gnp_graph(10, 0.5, seed=42)
@@ -175,7 +171,7 @@ def test_structural_invariants(g: Graph):
 @settings(max_examples=120)
 def test_handshake_and_rebuild(g: Graph):
     es = g.edge_set()
-    assert len(es) == sum(g.degree(v) for v in range(g.n)) // 2
+    assert len(es) == sum(len(row) for row in g.adj) // 2
     assert all(u < v for u, v in es)
     assert len(set(es)) == len(es)
     rebuilt = Graph(g.n, es)

@@ -12,7 +12,6 @@ from mgcolor import (
     check_fan,
     complete_graph,
     cycle_graph,
-    empty_coloring,
     exact_chromatic_index,
     extend_coloring,
     find_subfan,
@@ -105,7 +104,7 @@ class TestFindSubfan:
 class TestExtendColoring:
     def test_empty_edge_list_is_noop(self):
         g = complete_graph(3)
-        C = empty_coloring(g, 3)
+        C = EdgeColoring(g, 3)
         C.set_edge_color(0, 1, 1)
         before = C.copy()
         extend_coloring(C, [], debug=True)
@@ -113,18 +112,18 @@ class TestExtendColoring:
 
     def test_k2_gets_color_zero(self):
         g = complete_graph(2)
-        C = empty_coloring(g, 2)
+        C = EdgeColoring(g, 2)
         extend_coloring(C, g.edge_set(), debug=True)
         assert C.color_of(0, 1) == 0
 
     def test_palette_too_small_rejected(self):
         g = complete_graph(4)
         with pytest.raises(PreconditionError):
-            extend_coloring(empty_coloring(g, 3), g.edge_set())
+            extend_coloring(EdgeColoring(g, 3), g.edge_set())
 
     def test_precolored_edges_stay_colored(self):
         g = complete_graph(4)
-        C = empty_coloring(g, 4)
+        C = EdgeColoring(g, 4)
         C.set_edge_color(0, 3, 3)
         rest = [e for e in g.edge_set() if e != (0, 3)]
         extend_coloring(C, rest, debug=True)
