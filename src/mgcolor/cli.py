@@ -10,6 +10,9 @@ contract for harnesses:
   4  internal error: an unexpected exception (a bug); the traceback goes
      to stderr
 
+`color` reads its input, then opens `-o` and `--trace` before coloring, so
+a bad path exits 2 at once; the trace is written one JSON line per step.
+
 All randomness flows from --seed; no command reads wall-clock entropy, so
 identical invocations produce byte-identical files.
 """
@@ -20,13 +23,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from contextlib import AbstractContextManager, nullcontext
+from typing import TextIO
 
 from .coloring import format_coloring, parse_coloring
 from .errors import BadParamsError, InputError, TooLargeError
 from .graph import FAMILIES, Graph, format_dimacs, gen_family, parse_dimacs
 from .oracle import DEFAULT_MAX_EDGES, exact_chromatic_index, verify_coloring
-from .vizing import StepTrace, mk_edge_coloring
+from .vizing import mk_edge_coloring
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -40,9 +44,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _open_out(path: str | None, default: TextIO | None) -> AbstractContextManager:
+    """`path` opened for writing, or `default` (left open) when there is none."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(default)
 
 
 def _load_graph(path: str) -> Graph:
@@ -51,24 +55,17 @@ def _load_graph(path: str) -> Graph:
 
 def cmd_color(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    trace: list[StepTrace] | None = [] if args.trace else None
-    t0 = time.perf_counter()
-    coloring = mk_edge_coloring(g, debug=args.debug_checks, trace=trace)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    text = format_coloring(coloring)
+    with _open_out(args.output, sys.stdout) as out, _open_out(args.trace, None) as tr:
+        on_step = (lambda s: tr.write(json.dumps(vars(s)) + "\n")) if tr else None
+        t0 = time.perf_counter()
+        coloring = mk_edge_coloring(g, debug=args.debug_checks, on_step=on_step)
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        out.write(format_coloring(coloring))
     summary = (
         f"{g.n} {g.m} {g.max_degree()} {coloring.palette} "
         f"{coloring.colors_used()} {elapsed_ms:.2f}"
     )
-    if args.output:
-        _write(args.output, text)
-        print(summary)
-    else:
-        sys.stdout.write(text)
-        print(summary, file=sys.stderr)
-    if args.trace:
-        lines = [json.dumps(asdict(step)) for step in trace or []]
-        _write(args.trace, "\n".join(lines) + ("\n" if lines else ""))
+    print(summary, file=sys.stdout if args.output else sys.stderr)
     return EXIT_OK
 
 
@@ -95,11 +92,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = _build_family(args.family, args.params, args.seed)
-    text = format_dimacs(g)
-    if args.output:
-        _write(args.output, text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.output, sys.stdout) as out:
+        out.write(format_dimacs(g))
     return EXIT_OK
 
 

@@ -303,9 +303,8 @@ class EdgeColoring:
                         bound = Violation("bound", edge=(u, v), colors=(x,))
             seen_colors |= row_seen
 
-        missing = next(
-            ((u, v) for u, v in g.edge_set() if v not in self._colors[u]), None
-        )
+        missing = next(((u, v) for u, nbrs in enumerate(g.adj) for v in nbrs
+                        if v > u and v not in self._colors[u]), None)
         incomplete = None if missing is None else Violation("incomplete", edge=missing)
 
         proper = non_edge is None and duplicate is None

@@ -20,6 +20,7 @@ bit-identical colorings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .altpath import AltPath, invert, maximal_path
@@ -31,7 +32,7 @@ from .graph import Edge, Graph
 
 @dataclass(frozen=True)
 class StepTrace:
-    """One record per loop iteration, for replay and progress checks."""
+    """One record per loop iteration, handed to `on_step` as it completes."""
 
     edge: tuple[int, int]
     fan: tuple[int, ...]
@@ -75,14 +76,15 @@ def extend_coloring(
     coloring: EdgeColoring,
     edges: list[Edge],
     debug: bool = False,
-    trace: list[StepTrace] | None = None,
+    on_step: Callable[[StepTrace], object] | None = None,
 ) -> None:
     """Color every edge in `edges`, one per iteration. In place.
 
     Requires a palette of at least max_degree + 1 (so a free color always
     exists at every vertex), a proper current coloring, and every edge of
     `edges` uncolored. Already-colored edges stay colored and properness is
-    preserved throughout.
+    preserved throughout. If `on_step` is given, it is called with each
+    step's `StepTrace` as soon as that step is done.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -137,8 +139,8 @@ def extend_coloring(
             raise InvariantError(
                 f"iteration on ({x}, {y}) colored {after - before} edges, not 1"
             )
-        if trace is not None:
-            trace.append(
+        if on_step is not None:
+            on_step(
                 StepTrace(
                     edge=(x, y),
                     fan=fan.seq,
@@ -153,9 +155,12 @@ def extend_coloring(
 
 
 def mk_edge_coloring(
-    g: Graph, debug: bool = False, trace: list[StepTrace] | None = None
+    g: Graph, debug: bool = False, on_step: Callable[[StepTrace], object] | None = None
 ) -> EdgeColoring:
-    """Complete proper edge coloring of `g` with palette max_degree + 1."""
+    """Complete proper edge coloring of `g` with palette max_degree + 1.
+
+    `on_step` is called with each step's `StepTrace`, as in `extend_coloring`.
+    """
     coloring = EdgeColoring(g, g.max_degree() + 1)
-    extend_coloring(coloring, g.edge_set(), debug=debug, trace=trace)
+    extend_coloring(coloring, g.edge_set(), debug=debug, on_step=on_step)
     return coloring

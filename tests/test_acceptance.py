@@ -134,7 +134,7 @@ def test_criterion_3_lemma_suite():
         # Subfan existence lemma: every inversion branch of the full
         # algorithm re-checks the selected subfan in debug mode.
         trace = []
-        mk_edge_coloring(g, debug=True, trace=trace)
+        mk_edge_coloring(g, debug=True, on_step=trace.append)
         subfan_hits += sum(1 for step in trace if step.path)
         sequences += 1
 
@@ -152,7 +152,7 @@ def test_criterion_4_progress_invariant():
         n = rng.randint(1, 20)
         g = gnp_graph(n, rng.choice([0.2, 0.5, 0.8]), rng.getrandbits(63))
         trace = []
-        mk_edge_coloring(g, trace=trace)
+        mk_edge_coloring(g, on_step=trace.append)
         assert len(trace) == g.m  # remaining edge set shrinks by 1 per step
         for i, step in enumerate(trace):
             assert step.colored_after == step.colored_before + 1

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from mgcolor import format_dimacs, complete_graph, cycle_graph, parse_dimacs, petersen_graph
+from mgcolor import (
+    complete_graph,
+    cycle_graph,
+    format_dimacs,
+    gnp_graph,
+    parse_dimacs,
+    petersen_graph,
+)
 from mgcolor import cli
 from mgcolor.cli import main
 
@@ -62,6 +70,39 @@ class TestColor:
         for i, step in enumerate(steps):
             assert step["colored_before"] == i
             assert step["colored_after"] == i + 1
+
+    @pytest.mark.parametrize("flag", ["-o", "--trace"])
+    def test_unwritable_path_exits_2_before_coloring(
+        self, tmp_path, k3_file, monkeypatch, capsys, flag
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
+        bad = str(tmp_path / "no-such-dir" / "out")
+        assert main(["color", k3_file, flag, bad]) == 2
+        assert calls == []
+        assert "error" in capsys.readouterr().err
+
+    def test_output_may_overwrite_input(self, tmp_path, k3_file):
+        assert main(["color", k3_file, "-o", k3_file]) == 0
+        assert (tmp_path / "k3.gr").read_text().startswith("s 3 3 3 3\n")
+
+    def test_trace_streams_without_holding_the_run(self, tmp_path, capsys):
+        # The trace goes to disk step by step, so writing it costs no
+        # memory that grows with the number of steps.
+        gfile = write(tmp_path / "g.gr", format_dimacs(gnp_graph(500, 0.04, 3)))
+        out, tr = str(tmp_path / "g.col"), str(tmp_path / "g.trace")
+
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        plain = peak(["color", gfile, "-o", out])
+        traced = peak(["color", gfile, "-o", out, "--trace", tr])
+        assert traced <= 1.25 * plain, (traced, plain)
 
     def test_debug_checks_same_output(self, tmp_path, k3_file):
         a = tmp_path / "a.col"

@@ -135,13 +135,26 @@ class TestExtendColoring:
         for _ in range(40):
             g = rand_graph(rng)
             trace = []
-            C = mk_edge_coloring(g, debug=True, trace=trace)
+            C = mk_edge_coloring(g, debug=True, on_step=trace.append)
             assert len(trace) == g.m
             for i, step in enumerate(trace):
                 assert step.colored_before == i
                 assert step.colored_after == i + 1
                 assert step.subfan_len <= len(step.fan)
             assert C.count_colored() == g.m
+
+    def test_on_step_called_as_each_step_completes(self):
+        g = petersen_graph()
+        C = EdgeColoring(g, g.max_degree() + 1)
+        seen = []
+
+        def on_step(step):
+            assert C.count_colored() == step.colored_after
+            seen.append(step)
+
+        extend_coloring(C, g.edge_set(), on_step=on_step)
+        assert [s.edge for s in seen] == g.edge_set()
+        assert [s.colored_after for s in seen] == list(range(1, g.m + 1))
 
 
 class TestMkEdgeColoring:
@@ -234,6 +247,6 @@ class TestMkEdgeColoring:
         for _ in range(60):
             g = rand_graph(rng, n_max=12)
             trace = []
-            mk_edge_coloring(g, debug=True, trace=trace)
+            mk_edge_coloring(g, debug=True, on_step=trace.append)
             inversions += sum(1 for s in trace if s.path)
         assert inversions > 100
