@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring
+from .coloring import Color, EdgeColoring
 from .errors import (
     InvariantError,
     NotMaximalError,
     PathInvariantError,
     PreconditionError,
 )
+from .graph import Edge
 
 
 @dataclass(frozen=True)
@@ -141,13 +142,20 @@ def is_inverted(
 
     Each path edge colored a must now be b and each one colored b must now
     be a; every other edge, on the path or off it, must keep its color.
-    Builds that expected coloring from a copy of `before` and compares it
-    with `after` as a whole.
+    Works out the expected color of each path edge, then checks that
+    `after` has it and that no other edge differs from `before`, without
+    copying either coloring.
     """
     swap = {path.a: path.b, path.b: path.a}
-    expected = before.copy()
+    expected: dict[Edge, Color] = {}
     seq = path.seq
     for i in range(len(seq) - 1):
-        old = expected.color_of(seq[i], seq[i + 1])
-        expected.assign(seq[i], seq[i + 1], swap.get(old, old))
-    return expected == after
+        u, v = sorted(seq[i : i + 2])
+        old = expected.get((u, v), before.color_of(u, v))
+        expected[(u, v)] = swap.get(old, old)
+    return (
+        before.graph.n == after.graph.n
+        and before.palette == after.palette
+        and all(after.color_of(u, v) == col for (u, v), col in expected.items())
+        and before.changed_edges(after) <= expected.keys()
+    )

@@ -12,6 +12,8 @@ contract for harnesses:
 
 `color` reads its input, then opens `-o` and `--trace` before coloring, so
 a bad path exits 2 at once; the trace is written one JSON line per step.
+`-o` and `--trace` naming the same file (after resolving the path) exits 2
+before coloring.
 
 All randomness flows from --seed; no command reads wall-clock entropy, so
 identical invocations produce byte-identical files.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
@@ -54,6 +57,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    if args.output and args.trace and (
+        os.path.realpath(args.output) == os.path.realpath(args.trace)
+    ):
+        raise BadParamsError(f"-o and --trace name the same file: {args.trace}")
     g = _load_graph(args.input)
     with _open_out(args.output, sys.stdout) as out, _open_out(args.trace, None) as tr:
         on_step = (lambda s: tr.write(json.dumps(vars(s)) + "\n")) if tr else None

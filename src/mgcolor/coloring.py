@@ -19,6 +19,7 @@ is needed (the invariant checkers treat colorings as values).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from .graph import Graph, _int_field
+from .graph import Edge, Graph, _int_field
 
 Color = int | None
 
@@ -186,6 +187,19 @@ class EdgeColoring:
         """Number of distinct color ids currently present."""
         return len({c for row in self._colors for c in row.values()})
 
+    def first_colored(self, edges: Iterable[Edge]) -> Edge | None:
+        """First edge of `edges` that is colored; None when all are uncolored."""
+        n = self.graph.n
+        rows = self._colors
+        for u, v in edges:
+            if not 0 <= u < n:
+                raise VertexRangeError(u, n)
+            if not 0 <= v < n:
+                raise VertexRangeError(v, n)
+            if v in rows[u]:
+                return (u, v)
+        return None
+
     # -- mutation --------------------------------------------------------
 
     def set_edge_color(self, u: int, v: int, color: Color) -> None:
@@ -277,17 +291,34 @@ class EdgeColoring:
     def is_proper(self) -> Verdict:
         """Full check of every invariant against the graph.
 
-        Walks each vertex's colored edges, never the table, so it also
-        diagnoses states produced by `set_edge_color_unchecked`, and costs
-        O(n + m log max_degree). Within each kind the first violation is
-        the first in (u, v) order, except `incomplete`, which follows
-        canonical edge order.
+        Reads each vertex's colored edges, never the table, so it also
+        diagnoses states produced by `set_edge_color_unchecked`. Set
+        operations decide in O(degree) whether a vertex's colors are
+        distinct and its colored neighbors are graph neighbors; only a
+        vertex that fails is walked in sorted order, O(degree log degree).
+        One min/max over all colors decides the palette bound, and only
+        when it fails are the colored edges searched for the first one
+        outside it. A proper coloring costs O(n + m). Within each kind the
+        first violation is the first in (u, v) order, except `incomplete`,
+        which follows canonical edge order; a vertex whose colored edges
+        are exactly its graph edges is skipped there.
         """
         g = self.graph
         c = self.palette
-        non_edge = duplicate = bound = None
+        rows = self._colors
+        adj, adj_sets = g.adj, g._adj_sets
+        non_edge = duplicate = bound = incomplete = None
         seen_colors: set[int] = set()
-        for u, row in enumerate(self._colors):
+        for u, row in enumerate(rows):
+            used = set(row.values())
+            seen_colors |= used
+            on_edges = row.keys() <= adj_sets[u]
+            if incomplete is None and not (on_edges and len(row) == len(adj[u])):
+                v = next((v for v in adj[u] if v > u and v not in row), None)
+                if v is not None:
+                    incomplete = Violation("incomplete", edge=(u, v))
+            if on_edges and len(used) == len(row):
+                continue
             row_seen: set[int] = set()
             for v in sorted(row):
                 x = row[v]
@@ -296,16 +327,13 @@ class EdgeColoring:
                         "duplicate_color", vertex=u, edge=(u, v), colors=(x,)
                     )
                 row_seen.add(x)
-                if v > u:
-                    if non_edge is None and not g.has_edge(u, v):
-                        non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
-                    if bound is None and not 0 <= x < c:
-                        bound = Violation("bound", edge=(u, v), colors=(x,))
-            seen_colors |= row_seen
-
-        missing = next(((u, v) for u, nbrs in enumerate(g.adj) for v in nbrs
-                        if v > u and v not in self._colors[u]), None)
-        incomplete = None if missing is None else Violation("incomplete", edge=missing)
+                if non_edge is None and v > u and v not in adj_sets[u]:
+                    non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
+        if seen_colors and not (min(seen_colors) >= 0 and max(seen_colors) < c):
+            # Both orientations are stored, so some (u, v > u) carries it.
+            u, v = min((u, v) for u, row in enumerate(rows)
+                       for v, x in row.items() if v > u and not 0 <= x < c)
+            bound = Violation("bound", edge=(u, v), colors=(rows[u][v],))
 
         proper = non_edge is None and duplicate is None
         return Verdict(
@@ -315,6 +343,19 @@ class EdgeColoring:
             bound_ok=bound is None,
             first_violation=non_edge or duplicate or incomplete or bound,
         )
+
+    def changed_edges(self, other: EdgeColoring) -> set[Edge]:
+        """Pairs (u, v), u < v, colored differently in `other`.
+
+        `other` must color a graph on the same vertices. Colored non-edges
+        count too; vertices whose colored edges match are skipped at once.
+        """
+        changed: set[Edge] = set()
+        for u, (mine, theirs) in enumerate(zip(self._colors, other._colors)):
+            if mine != theirs:
+                changed.update((u, v) for v in mine.keys() | theirs.keys()
+                               if v > u and mine.get(v) != theirs.get(v))
+        return changed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):

@@ -100,12 +100,10 @@ def extend_coloring(
             )
 
     for i, (x, y) in enumerate(edges):
-        if debug:
-            for u, v in edges[i:]:
-                if coloring.color_of(u, v) is not None:
-                    raise InvariantError(
-                        f"pending edge ({u}, {v}) is already colored"
-                    )
+        if debug and (pending := coloring.first_colored(edges[i:])) is not None:
+            raise InvariantError(
+                f"pending edge ({pending[0]}, {pending[1]}) is already colored"
+            )
         before = coloring.count_colored()
 
         fan = maximal_fan(coloring, x, y, debug)

@@ -2,14 +2,16 @@
 
 Everything here is seeded by the caller, so test runs are reproducible.
 `rotate_fan_direct` is the independent shift-then-color formulation of fan
-rotation used to cross-check the library's fused implementation.
+rotation used to cross-check the library's fused implementation, and
+`ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
+with.
 """
 
 from __future__ import annotations
 
 import random
 
-from mgcolor import EdgeColoring, Fan, Graph, gnp_graph
+from mgcolor import EdgeColoring, Fan, Graph, Verdict, Violation, gnp_graph
 
 
 def rand_graph(rng: random.Random, n_max: int = 10) -> Graph:
@@ -88,3 +90,43 @@ def rotate_fan_direct(
         out.set_edge_color(x, seq[i], old[i + 1])
     out.set_edge_color(x, seq[-1], color)
     return out
+
+
+def ordered_verdict(coloring: EdgeColoring) -> Verdict:
+    """Reference full check: every colored pair visited in (u, v) order.
+
+    Public queries only, O(n^2); `EdgeColoring.is_proper` must return an
+    equal `Verdict` on every state.
+    """
+    g = coloring.graph
+    c = coloring.palette
+    non_edge = duplicate = bound = None
+    seen_colors: set[int] = set()
+    for u in range(g.n):
+        row_seen: set[int] = set()
+        for v in range(g.n):
+            x = coloring.color_of(u, v)
+            if x is None:
+                continue
+            if duplicate is None and x in row_seen:
+                duplicate = Violation(
+                    "duplicate_color", vertex=u, edge=(u, v), colors=(x,)
+                )
+            row_seen.add(x)
+            if v > u:
+                if non_edge is None and not g.has_edge(u, v):
+                    non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
+                if bound is None and not 0 <= x < c:
+                    bound = Violation("bound", edge=(u, v), colors=(x,))
+        seen_colors |= row_seen
+    missing = next(
+        (e for e in g.edge_set() if coloring.color_of(*e) is None), None
+    )
+    incomplete = None if missing is None else Violation("incomplete", edge=missing)
+    return Verdict(
+        proper=non_edge is None and duplicate is None,
+        complete=incomplete is None,
+        colors_used=len(seen_colors),
+        bound_ok=bound is None,
+        first_violation=non_edge or duplicate or incomplete or bound,
+    )

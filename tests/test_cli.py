@@ -82,6 +82,19 @@ class TestColor:
         assert calls == []
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace", ["same.out", "./same.out"])
+    def test_output_and_trace_on_one_file_exit_2_before_coloring(
+        self, tmp_path, k3_file, monkeypatch, capsys, trace
+    ):
+        # Two handles on one file would write the coloring over the trace.
+        calls = []
+        monkeypatch.setattr(cli, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert main(["color", k3_file, "-o", "same.out", "--trace", trace]) == 2
+        assert calls == []
+        assert not (tmp_path / "same.out").exists()
+        assert "same file" in capsys.readouterr().err
+
     def test_output_may_overwrite_input(self, tmp_path, k3_file):
         assert main(["color", k3_file, "-o", k3_file]) == 0
         assert (tmp_path / "k3.gr").read_text().startswith("s 3 3 3 3\n")

@@ -26,7 +26,7 @@ from mgcolor.errors import (
     ParseError,
     VertexRangeError,
 )
-from tests.helpers import rand_graph, rand_proper_coloring
+from tests.helpers import ordered_verdict, rand_graph, rand_proper_coloring
 
 
 def k3_coloring(palette: int = 3) -> EdgeColoring:
@@ -318,6 +318,37 @@ def unchecked_states(draw):
 @settings(max_examples=200)
 def test_lookups_match_edge_colors(C: EdgeColoring):
     assert_lookups_match_edge_colors(C)
+
+
+@st.composite
+def verdict_states(draw):
+    # A complete proper coloring, some of it uncolored again, then a few
+    # unchecked writes: non-edges, duplicate colors, colors outside the
+    # palette, and palettes too small for the coloring's own colors.
+    n = draw(st.integers(min_value=2, max_value=7))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(possible), unique=True)))
+    full = mk_edge_coloring(g)
+    C = EdgeColoring(g, draw(st.integers(1, full.palette + 1)))
+    edges = g.edge_set()
+    dropped = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    for u, v in edges:
+        if (u, v) not in dropped:
+            C.set_edge_color_unchecked(u, v, full.color_of(u, v))
+    ops = st.tuples(
+        st.sampled_from(possible),
+        st.one_of(st.none(), st.integers(-1, C.palette + 1)),
+        st.booleans(),
+    )
+    for (u, v), col, flip in draw(st.lists(ops, max_size=6)):
+        C.set_edge_color_unchecked(*((v, u) if flip else (u, v)), col)
+    return C
+
+
+@given(st.one_of(verdict_states(), unchecked_states()))
+@settings(max_examples=300)
+def test_is_proper_matches_the_ordered_scan(C: EdgeColoring):
+    assert C.is_proper() == ordered_verdict(C)
 
 
 def test_lookups_survive_removing_one_of_two_equal_colors():

@@ -24,7 +24,7 @@ from mgcolor import (
     star_graph,
     verify_coloring,
 )
-from mgcolor.errors import PreconditionError, SubfanError
+from mgcolor.errors import InvariantError, PreconditionError, SubfanError
 from mgcolor.fan import Fan
 from tests.helpers import rand_graph
 
@@ -129,6 +129,16 @@ class TestExtendColoring:
         extend_coloring(C, rest, debug=True)
         assert C.color_of(0, 3) is not None
         assert verify_coloring(g, C).ok
+
+    def test_debug_rejects_an_already_colored_pending_edge(self):
+        # Every pending edge is checked at every step, so the guard fires
+        # before the first step colors anything.
+        g = path_graph(4)
+        C = EdgeColoring(g, 3)
+        C.set_edge_color(2, 3, 0)
+        with pytest.raises(InvariantError, match=r"pending edge \(2, 3\)"):
+            extend_coloring(C, g.edge_set(), debug=True)
+        assert C.count_colored() == 1
 
     def test_progress_one_edge_per_iteration(self):
         rng = random.Random(61)
