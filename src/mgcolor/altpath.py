@@ -110,29 +110,34 @@ def invert(coloring: EdgeColoring, path: AltPath, debug: bool = False) -> None:
     One pass front to back writes each path edge once, through the trusted
     `assign`, starting with b, which re-establishes alternation with the
     two colors swapped. Maximality is what makes the swap valid at the
-    endpoints; debug mode checks it up front and verifies `is_inverted`
-    afterwards.
+    endpoints; debug mode checks it up front.
+
+    Debug mode then journals the color each write replaced, checks the
+    swap contract of `is_inverted` from that journal, and checks properness
+    only on the rows of the path vertices, the only rows the inversion
+    wrote. It assumes the coloring was proper before the call (as
+    `extend_coloring` establishes with its first full scan), copies
+    nothing, and costs O(the path vertices' degrees).
     """
     seq = path.seq
-    before = None
     if debug:
         check_path(coloring, path)
         if not is_maximal_path(coloring, path):
             raise NotMaximalError(f"cannot invert non-maximal path {seq}")
-        before = coloring.copy()
+        replaced: dict[Edge, Color] = {}
+        col, other = path.b, path.a
+        for u, v in zip(seq, seq[1:]):
+            replaced[(u, v) if u < v else (v, u)] = coloring.assign(u, v, col)
+            col, other = other, col
+        if not _swapped(coloring, path, replaced):
+            raise InvariantError(f"inversion of {seq} violated the swap contract")
+        if (bad := coloring.violation_at(seq)) is not None:
+            raise InvariantError(f"inversion broke properness: {bad}")
+        return
     col, other = path.b, path.a
     for i in range(len(seq) - 1):
         coloring.assign(seq[i], seq[i + 1], col)
         col, other = other, col
-    if debug:
-        assert before is not None
-        if not is_inverted(before, coloring, path):
-            raise InvariantError(f"inversion of {seq} violated the swap contract")
-        verdict = coloring.is_proper()
-        if not verdict.proper:
-            raise InvariantError(
-                f"inversion broke properness: {verdict.first_violation}"
-            )
 
 
 def is_inverted(
@@ -142,20 +147,33 @@ def is_inverted(
 
     Each path edge colored a must now be b and each one colored b must now
     be a; every other edge, on the path or off it, must keep its color.
-    Works out the expected color of each path edge, then checks that
-    `after` has it and that no other edge differs from `before`, without
-    copying either coloring.
+    The edges that differ between the two colorings, with their colors in
+    `before`, are the journal the swap contract is checked from; a debug
+    `invert` checks the same contract from the colors its writes replaced.
+    """
+    replaced = {(u, v): before.color_of(u, v) for u, v in before.changed_edges(after)}
+    return (
+        before.graph.n == after.graph.n
+        and before.palette == after.palette
+        and _swapped(after, path, replaced)
+    )
+
+
+def _swapped(after: EdgeColoring, path: AltPath, replaced: dict[Edge, Color]) -> bool:
+    """The swap contract, from a journal of the edges that may have changed.
+
+    `replaced` maps such edges (u, v), u < v, to their color before; every
+    other edge kept its color. Each path edge must now hold that color with
+    a and b swapped (once per time the path crosses it), and every journal
+    entry must be a path edge.
     """
     swap = {path.a: path.b, path.b: path.a}
     expected: dict[Edge, Color] = {}
     seq = path.seq
     for i in range(len(seq) - 1):
         u, v = sorted(seq[i : i + 2])
-        old = expected.get((u, v), before.color_of(u, v))
+        old = expected.get((u, v), replaced.get((u, v), after.color_of(u, v)))
         expected[(u, v)] = swap.get(old, old)
-    return (
-        before.graph.n == after.graph.n
-        and before.palette == after.palette
-        and all(after.color_of(u, v) == col for (u, v), col in expected.items())
-        and before.changed_edges(after) <= expected.keys()
+    return replaced.keys() <= expected.keys() and all(
+        after.color_of(u, v) == col for (u, v), col in expected.items()
     )

@@ -344,6 +344,25 @@ class EdgeColoring:
             first_violation=non_edge or duplicate or incomplete or bound,
         )
 
+    def violation_at(self, vertices: Iterable[int]) -> Violation | None:
+        """Properness check of the rows of `vertices` only.
+
+        A non_edge or duplicate_color defect lives in one vertex's row, and
+        writing edge {u, v} changes only rows u and v. So if the coloring
+        was proper and has since been written only on edges between
+        `vertices`, this gives the verdict of `is_proper()` in O(sum of
+        their degrees). None when every listed row is clean; otherwise the
+        full scan runs, and its first violation is returned.
+        """
+        rows = self._colors
+        adj_sets = self.graph._adj_sets
+        for u in vertices:
+            row = rows[u]
+            if not (row.keys() <= adj_sets[u] and len(set(row.values())) == len(row)):
+                verdict = self.is_proper()
+                return None if verdict.proper else verdict.first_violation
+        return None
+
     def changed_edges(self, other: EdgeColoring) -> set[Edge]:
         """Pairs (u, v), u < v, colored differently in `other`.
 

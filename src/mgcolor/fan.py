@@ -104,6 +104,12 @@ def rotate_fan(
     the back, so every intermediate state is proper: the displaced color
     has just been removed from x's edges and is free on the predecessor by
     the fan property.
+
+    Debug mode assumes the coloring was proper before the call (as
+    `extend_coloring` establishes with its first full scan): it checks
+    only the rows the rotation wrote, x and the fan vertices, in
+    O(degree(x) + the fan's degrees), and falls back to the full scan to
+    report a violation.
     """
     x = fan.center
     seq = fan.seq
@@ -120,9 +126,5 @@ def rotate_fan(
     carry = color
     for f in reversed(seq):
         carry = coloring.assign(x, f, carry)
-    if debug:
-        verdict = coloring.is_proper()
-        if not verdict.proper:
-            raise InvariantError(
-                f"rotation broke properness: {verdict.first_violation}"
-            )
+    if debug and (bad := coloring.violation_at((x, *seq))) is not None:
+        raise InvariantError(f"rotation broke properness: {bad}")

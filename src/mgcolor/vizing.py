@@ -20,6 +20,7 @@ bit-identical colorings.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -85,6 +86,14 @@ def extend_coloring(
     `edges` uncolored. Already-colored edges stay colored and properness is
     preserved throughout. If `on_step` is given, it is called with each
     step's `StepTrace` as soon as that step is done.
+
+    With `debug`, the full `is_proper` scan and the pending-edge check of
+    every edge run once, before the first step. Each step then runs the
+    lemma checkers, which check only what the step wrote: its fan and path
+    rows for properness, and its fan and path edges against the edges
+    still pending. That keeps a debug step at about the cost of the step.
+    A write made around `assign` escapes these; one more full `is_proper`
+    after the last step reports it.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -98,12 +107,16 @@ def extend_coloring(
             raise InvariantError(
                 f"initial coloring is not proper: {verdict.first_violation}"
             )
-
-    for i, (x, y) in enumerate(edges):
-        if debug and (pending := coloring.first_colored(edges[i:])) is not None:
+        if (pending := coloring.first_colored(edges)) is not None:
             raise InvariantError(
                 f"pending edge ({pending[0]}, {pending[1]}) is already colored"
             )
+        # How often each edge, keyed (u, v) with u < v, is still to come
+        # (a list may name an edge twice). A step can color only an edge it
+        # writes, so only those are checked against this.
+        waiting = Counter((u, v) if u < v else (v, u) for u, v in edges)
+
+    for i, (x, y) in enumerate(edges):
         before = coloring.count_colored()
 
         fan = maximal_fan(coloring, x, y, debug)
@@ -149,6 +162,24 @@ def extend_coloring(
                     colored_before=before,
                     colored_after=after,
                 )
+            )
+        if debug:
+            waiting[(x, y) if x < y else (y, x)] -= 1
+            wrote = [(x, f) for f in subfan.seq] + list(zip(path_seq, path_seq[1:]))
+            if any(
+                waiting[(u, v) if u < v else (v, u)]
+                and coloring.color_of(u, v) is not None
+                for u, v in wrote
+            ) and (pending := coloring.first_colored(edges[i + 1 :])) is not None:
+                raise InvariantError(
+                    f"pending edge ({pending[0]}, {pending[1]}) is already colored"
+                )
+
+    if debug:
+        verdict = coloring.is_proper()
+        if not verdict.proper:
+            raise InvariantError(
+                f"coloring is not proper after the last step: {verdict.first_violation}"
             )
 
 
