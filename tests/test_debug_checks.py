@@ -28,7 +28,7 @@ from mgcolor import (
     mk_edge_coloring,
     path_graph,
 )
-from mgcolor.errors import InvariantError
+from mgcolor.errors import InvariantError, PreconditionError
 from tests.helpers import rand_proper_coloring, uncolored_edges
 
 
@@ -75,9 +75,10 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
             mock.patch.object(EdgeColoring, "violation_at", violation_at):
         try:
             extend_coloring(C, edges, debug=True)
-        except InvariantError as exc:
-            # The injection may also recolor a fan or path edge, which a
-            # later check of the same step reports in its own words.
+        except (InvariantError, PreconditionError) as exc:
+            # The injection may also recolor a fan or path edge, or color
+            # the step's own uncolored edge, which a later check of the
+            # same step reports in its own words.
             if injected is not None and not injected.proper:
                 assert str(exc).endswith(
                     f"broke properness: {injected.first_violation}"
