@@ -8,7 +8,7 @@ proper and swaps which of the two colors is free at x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import (
@@ -20,8 +20,7 @@ from .errors import (
 from .graph import Edge
 
 
-@dataclass(frozen=True)
-class AltPath:
+class AltPath(NamedTuple):
     """Colors (a, b) plus the vertex sequence; seq[0] is the start vertex."""
 
     a: int

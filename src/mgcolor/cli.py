@@ -63,7 +63,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         raise BadParamsError(f"-o and --trace name the same file: {args.trace}")
     g = _load_graph(args.input)
     with _open_out(args.output, sys.stdout) as out, _open_out(args.trace, None) as tr:
-        on_step = (lambda s: tr.write(json.dumps(vars(s)) + "\n")) if tr else None
+        on_step = (lambda s: tr.write(json.dumps(s._asdict()) + "\n")) if tr else None
         t0 = time.perf_counter()
         coloring = mk_edge_coloring(g, debug=args.debug_checks, on_step=on_step)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -20,7 +20,7 @@ is needed (the invariant checkers treat colorings as values).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadPaletteError,
@@ -36,8 +36,7 @@ from .graph import Edge, Graph, _int_field
 Color = int | None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First defect found by a full-scan check.
 
     kind is one of: non_edge, duplicate_color, incomplete, bound.
@@ -59,8 +58,7 @@ class Violation:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Structured result of a full coloring check.
 
     proper: structural invariants hold (only real edges colored, no two
@@ -147,12 +145,6 @@ class EdgeColoring:
             ):
                 return z
         return None
-
-    def free_colors_on(self, v: int) -> list[int]:
-        """Palette colors absent from v's incident edges, ascending."""
-        self._check_vertex(v)
-        used = set(self._colors[v].values())
-        return [a for a in range(self.palette) if a not in used]
 
     def min_free_color(self, v: int) -> int:
         """Smallest free color on v; the deterministic 'choose a free color'."""

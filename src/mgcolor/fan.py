@@ -9,7 +9,7 @@ proper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
 from .errors import (
@@ -21,8 +21,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Center vertex plus the ordered neighbor sequence f_1..f_k."""
 
     center: int

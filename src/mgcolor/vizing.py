@@ -22,17 +22,21 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .altpath import AltPath, invert, maximal_path
 from .coloring import EdgeColoring
-from .errors import InvariantError, PreconditionError, SubfanError
-from .fan import Fan, check_fan, maximal_fan, rotate_fan
+from .errors import (
+    FanInvariantError,
+    InvariantError,
+    PreconditionError,
+    SubfanError,
+)
+from .fan import Fan, maximal_fan, rotate_fan
 from .graph import Edge, Graph
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """One record per loop iteration, handed to `on_step` as it completes."""
 
     edge: tuple[int, int]
@@ -131,18 +135,14 @@ def extend_coloring(
             path = maximal_path(coloring, a, b, x, debug)
             subfan = find_subfan(coloring, fan, path, a)
             invert(coloring, path, debug)
-            if debug:
-                try:
-                    check_fan(coloring, subfan)
-                except InvariantError as exc:
-                    raise SubfanError(
-                        f"subfan {subfan.seq} invalid after inversion: {exc}"
-                    ) from exc
-                if not coloring.is_free(subfan.last(), a):
-                    raise SubfanError(
-                        f"color {a} not free on subfan end {subfan.last()}"
-                    )
-            rotate_fan(coloring, subfan, a, debug)
+            # A debug rotation checks the subfan and that `a` is valid for
+            # its last edge; failing that, the subfan rule is at fault.
+            try:
+                rotate_fan(coloring, subfan, a, debug)
+            except FanInvariantError as exc:
+                raise SubfanError(
+                    f"subfan {subfan.seq} invalid after inversion: {exc}"
+                ) from exc
             path_seq = path.seq
 
         after = coloring.count_colored()

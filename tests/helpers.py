@@ -4,7 +4,8 @@ Everything here is seeded by the caller, so test runs are reproducible.
 `rotate_fan_direct` is the independent shift-then-color formulation of fan
 rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
-with.
+with. `free_colors_on` lists a vertex's free colors through the public
+`is_free`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ def rand_proper_coloring(
     return coloring
 
 
+def free_colors_on(coloring: EdgeColoring, v: int) -> list[int]:
+    """Palette colors absent from v's incident edges, ascending."""
+    return [c for c in range(coloring.palette) if coloring.is_free(v, c)]
+
+
 def uncolored_edges(coloring: EdgeColoring) -> list[tuple[int, int]]:
     return [
         (u, v)
@@ -63,7 +69,7 @@ def pick_rotation_color(
     x = fan.center
     shared = [
         c
-        for c in coloring.free_colors_on(x)
+        for c in free_colors_on(coloring, x)
         if coloring.is_free(fan.last(), c)
     ]
     if shared and rng.random() < 0.9:

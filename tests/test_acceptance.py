@@ -30,6 +30,7 @@ from mgcolor import (
 )
 from mgcolor.cli import main
 from tests.helpers import (
+    free_colors_on,
     pick_rotation_color,
     rand_proper_coloring,
     rotate_fan_direct,
@@ -122,7 +123,7 @@ def test_criterion_3_lemma_suite():
         # of path construction).
         if coloring.palette >= 2:
             x = rng.randrange(g.n)
-            free_colors = coloring.free_colors_on(x)
+            free_colors = free_colors_on(coloring, x)
             if free_colors:
                 b = rng.choice(free_colors)
                 a = rng.choice([c for c in range(coloring.palette) if c != b])

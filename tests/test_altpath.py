@@ -25,7 +25,7 @@ from mgcolor.errors import (
     PathInvariantError,
     PreconditionError,
 )
-from tests.helpers import rand_graph, rand_proper_coloring
+from tests.helpers import free_colors_on, rand_graph, rand_proper_coloring
 
 
 def two_edge_instance():
@@ -124,7 +124,7 @@ class TestNextVertex:
             if g.n == 0 or C.palette < 2:
                 continue
             x = rng.randrange(g.n)
-            free = C.free_colors_on(x)
+            free = free_colors_on(C, x)
             if not free:
                 continue
             b = rng.choice(free)
@@ -175,7 +175,7 @@ class TestMaximalPath:
             if g.n == 0 or C.palette < 2:
                 continue
             x = rng.randrange(g.n)
-            free = C.free_colors_on(x)
+            free = free_colors_on(C, x)
             if not free:
                 continue
             b = rng.choice(free)
@@ -201,7 +201,7 @@ def random_path_instance(rng):
     if g.n == 0 or C.palette < 2:
         return None
     x = rng.randrange(g.n)
-    free = C.free_colors_on(x)
+    free = free_colors_on(C, x)
     if not free:
         return None
     b = rng.choice(free)
@@ -283,11 +283,11 @@ class TestInvert:
             assert C.is_free(path.seq[0], a)
             # Interior path vertices keep their whole free set.
             for v in path.seq[1:-1]:
-                assert before.free_colors_on(v) == C.free_colors_on(v)
+                assert free_colors_on(before, v) == free_colors_on(C, v)
             # Colors outside {a, b} free anywhere stay free (inversion only
             # touches a- and b-colored edges).
             for v in range(C.graph.n):
-                for col in before.free_colors_on(v):
+                for col in free_colors_on(before, v):
                     if col not in (a, b):
                         assert C.is_free(v, col)
             # Any a/b-colored edge at a path vertex after inversion is a

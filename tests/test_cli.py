@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from mgcolor import (
+    AltPath,
+    Fan,
+    StepTrace,
+    Verdict,
+    Violation,
     complete_graph,
     cycle_graph,
     format_dimacs,
@@ -17,6 +26,8 @@ from mgcolor import (
 )
 from mgcolor import cli
 from mgcolor.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(path, text):
@@ -70,6 +81,12 @@ class TestColor:
         for i, step in enumerate(steps):
             assert step["colored_before"] == i
             assert step["colored_after"] == i + 1
+
+    def test_trace_keys_follow_the_step_trace_fields(self, tmp_path, k3_file):
+        tr = tmp_path / "k3.trace"
+        assert main(["color", k3_file, "-o", str(tmp_path / "k3.col"), "--trace", str(tr)]) == 0
+        for line in tr.read_text().splitlines():
+            assert list(json.loads(line)) == list(StepTrace._fields)
 
     @pytest.mark.parametrize("flag", ["-o", "--trace"])
     def test_unwritable_path_exits_2_before_coloring(
@@ -266,3 +283,40 @@ class TestRoundTripPipeline:
             assert main(["gen", "gnp", "9", "0.5", "--seed", str(seed), "-o", str(gfile)]) == 0
             assert main(["color", str(gfile), "-o", str(cfile)]) == 0
             assert main(["check", str(gfile), str(cfile)]) == 0
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # Every `python -m mgcolor` process pays for what importing the CLI
+    # pulls in; `dataclasses` alone brings `inspect`, `dis`, `ast` and
+    # `tokenize`. Modules the interpreter loaded before the import (say,
+    # from a site hook) are not mgcolor's doing and are left out.
+    code = (
+        "import sys; before = set(sys.modules); import mgcolor.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "record, defaults",
+    [
+        pytest.param(
+            Violation("bound"), {"edge": None, "vertex": None, "colors": ()}, id="Violation"
+        ),
+        pytest.param(Verdict(True, True, 0, True), {"first_violation": None}, id="Verdict"),
+        pytest.param(Fan(0, (1,)), {}, id="Fan"),
+        pytest.param(AltPath(0, 1, (0,)), {}, id="AltPath"),
+        pytest.param(StepTrace((0, 1), (1,), 0, 0, (), 1, 0, 1), {}, id="StepTrace"),
+    ],
+)
+def test_records_are_immutable_and_keep_their_defaults(record, defaults):
+    assert record._field_defaults == defaults
+    for name, value in defaults.items():
+        assert getattr(record, name) == value
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))

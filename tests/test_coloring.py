@@ -26,7 +26,12 @@ from mgcolor.errors import (
     ParseError,
     VertexRangeError,
 )
-from tests.helpers import ordered_verdict, rand_graph, rand_proper_coloring
+from tests.helpers import (
+    free_colors_on,
+    ordered_verdict,
+    rand_graph,
+    rand_proper_coloring,
+)
 
 
 def k3_coloring(palette: int = 3) -> EdgeColoring:
@@ -63,24 +68,24 @@ class TestBasics:
 
 class TestFreeColors:
     def test_all_free_when_empty(self):
-        assert k3_coloring().free_colors_on(0) == [0, 1, 2]
+        assert free_colors_on(k3_coloring(), 0) == [0, 1, 2]
 
     def test_shrinks_after_coloring(self):
         C = k3_coloring()
         C.set_edge_color(0, 1, 0)
-        assert C.free_colors_on(0) == [1, 2]
-        assert C.free_colors_on(2) == [0, 1, 2]
+        assert free_colors_on(C, 0) == [1, 2]
+        assert free_colors_on(C, 2) == [0, 1, 2]
 
     def test_ascending(self):
         C = EdgeColoring(complete_graph(4), 4)
         C.set_edge_color(0, 1, 2)
         C.set_edge_color(0, 2, 0)
-        assert C.free_colors_on(0) == [1, 3]
+        assert free_colors_on(C, 0) == [1, 3]
         assert C.min_free_color(0) == 1
 
     def test_out_of_range(self):
         with pytest.raises(VertexRangeError):
-            k3_coloring().free_colors_on(5)
+            free_colors_on(k3_coloring(), 5)
 
 
 class TestValidity:
@@ -144,7 +149,7 @@ class TestSetEdgeColor:
         C.set_edge_color(0, 1, 0)
         C.set_edge_color(0, 1, 1)
         assert C.color_of(0, 1) == 1
-        assert C.free_colors_on(0) == [0, 2]
+        assert free_colors_on(C, 0) == [0, 2]
         assert C.count_colored() == 1 and C.colors_used() == 1
 
 
@@ -233,7 +238,7 @@ def coloring_states(draw):
 @settings(max_examples=100)
 def test_free_and_incident_partition_palette(C: EdgeColoring):
     for v in range(C.graph.n):
-        free = set(C.free_colors_on(v))
+        free = set(free_colors_on(C, v))
         incident = {
             C.color_of(v, w)
             for w in C.graph.adj[v]
@@ -248,7 +253,7 @@ def test_free_and_incident_partition_palette(C: EdgeColoring):
 def test_full_palette_leaves_everyone_a_free_color(C: EdgeColoring):
     # palette is max_degree + 1, so at most max_degree incident colors.
     for v in range(C.graph.n):
-        assert C.free_colors_on(v)
+        assert free_colors_on(C, v)
 
 
 @given(coloring_states())
@@ -368,7 +373,7 @@ def test_min_free_color_beyond_the_table():
     C = EdgeColoring(star_graph(3), 3)
     for leaf, col in [(1, 0), (2, 1), (3, 2)]:
         C.set_edge_color(0, leaf, col)
-    assert C.free_colors_on(0) == []
+    assert free_colors_on(C, 0) == []
     assert_lookups_match_edge_colors(C)
     # Colored non-edges (loaded from a file or written unchecked) can fill
     # a row with free palette colors left beyond it.

@@ -28,6 +28,7 @@ from mgcolor import (
     mk_edge_coloring,
     path_graph,
 )
+from mgcolor import fan, vizing
 from mgcolor.errors import InvariantError, PreconditionError
 from tests.helpers import rand_proper_coloring, uncolored_edges
 
@@ -130,6 +131,24 @@ def test_debug_run_makes_two_full_scans_and_no_copies(monkeypatch):
     C = mk_edge_coloring(g, debug=True)
     assert counts == {"is_proper": 2, "copy": 0, "changed_edges": 0}
     assert C.count_colored() == g.m
+
+
+def test_a_debug_step_makes_two_fan_checks(monkeypatch):
+    # maximal_fan checks the fan it built and rotate_fan the fan (or, after
+    # an inversion, the subfan) it rotates; extend_coloring adds none.
+    calls = []
+    real = fan.check_fan
+
+    def counted(coloring, f):
+        calls.append(f)
+        return real(coloring, f)
+
+    for mod in (fan, vizing):
+        if hasattr(mod, "check_fan"):
+            monkeypatch.setattr(mod, "check_fan", counted)
+    steps = []
+    mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True, on_step=steps.append)
+    assert (len(steps), len(calls)) == (727, 2 * 727)
 
 
 def proper_partial_colorings(g: Graph):
