@@ -76,7 +76,12 @@ class InvalidColorError(Error):
 
 
 class InvariantError(Error):
-    """A runtime invariant check failed (normally enabled in debug mode)."""
+    """A runtime invariant check failed.
+
+    Raised by the per-step lemma checks, which `extend_coloring(debug=True)`
+    runs in one place (the fan and path building blocks have no debug
+    mode), and by guards against a coloring state no proper coloring has.
+    """
 
 
 class FanInvariantError(InvariantError):

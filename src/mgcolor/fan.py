@@ -5,6 +5,10 @@ f_1..f_k of x such that the color of edge {x, f_(i+1)} is a real color that
 is free on f_i. Rotating shifts each fan edge's color onto its predecessor
 and gives the last fan edge a new color, which provably keeps the coloring
 proper.
+
+`maximal_fan` and `rotate_fan` check their call preconditions only;
+`extend_coloring(debug=True)` runs `check_fan` and `is_maximal_fan` on the
+fans it builds and rotates.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from .coloring import Color, EdgeColoring
 from .errors import (
     EdgeAlreadyColoredError,
     FanInvariantError,
-    InvariantError,
     NotAnEdgeError,
     PreconditionError,
+    VertexRangeError,
 )
 
 
@@ -31,9 +35,7 @@ class Fan(NamedTuple):
         return self.seq[-1]
 
 
-def maximal_fan(
-    coloring: EdgeColoring, x: int, y: int, debug: bool = False
-) -> Fan:
+def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
     """Greedy maximal fan around x starting at y; {x, y} must be uncolored.
 
     Repeatedly scans the not-yet-used neighbors of x in adjacency order and
@@ -52,12 +54,7 @@ def maximal_fan(
     while (z := coloring.fan_candidate(x, seq[-1], remaining)) is not None:
         seq.append(z)
         remaining.remove(z)
-    fan = Fan(x, tuple(seq))
-    if debug:
-        check_fan(coloring, fan)
-        if not is_maximal_fan(coloring, fan):
-            raise FanInvariantError(f"constructed fan {seq} is not maximal")
-    return fan
+    return Fan(x, tuple(seq))
 
 
 def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
@@ -87,43 +84,34 @@ def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
 def is_maximal_fan(coloring: EdgeColoring, fan: Fan) -> bool:
     """True iff no neighbor of the center outside the fan can be appended."""
     x = fan.center
+    n = coloring.graph.n
+    for v in (x, fan.last()):
+        if not 0 <= v < n:
+            raise VertexRangeError(v, n)
     members = set(fan.seq)
     outside = [z for z in coloring.graph.adj[x] if z not in members]
     return coloring.fan_candidate(x, fan.last(), outside) is None
 
 
-def rotate_fan(
-    coloring: EdgeColoring, fan: Fan, color: Color, debug: bool = False
-) -> None:
+def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
     """Rotate the fan and color its last edge with `color`. In place.
 
     Each edge {x, f_i} (i < k) receives the old color of {x, f_(i+1)} and
-    {x, f_k} receives `color`, which must be valid for it (checked in debug
-    mode). Each edge is written once, through the trusted `assign`, from
-    the back, so every intermediate state is proper: the displaced color
-    has just been removed from x's edges and is free on the predecessor by
-    the fan property.
-
-    Debug mode assumes the coloring was proper before the call (as
-    `extend_coloring` establishes with its first full scan): it checks
-    only the rows the rotation wrote, x and the fan vertices, in
-    O(degree(x) + the fan's degrees), and falls back to the full scan to
-    report a violation.
+    {x, f_k} receives `color`, which must be valid for it. Each edge is
+    written once, through the trusted `assign`, from the back, so every
+    intermediate state is proper: the displaced color has just been removed
+    from x's edges and is free on the predecessor by the fan property. Only
+    the uncolored first edge is checked; the fan and the color are the
+    caller's to prove.
     """
     x = fan.center
     seq = fan.seq
+    if not seq:
+        raise PreconditionError("cannot rotate an empty fan")
     if coloring.color_of(x, seq[0]) is not None:
         raise PreconditionError(
             f"first fan edge ({x}, {seq[0]}) must be uncolored before rotation"
         )
-    if debug:
-        check_fan(coloring, fan)
-        if not coloring.edge_color_valid(x, seq[-1], color):
-            raise FanInvariantError(
-                f"color {color} is not valid for the last fan edge ({x}, {seq[-1]})"
-            )
     carry = color
     for f in reversed(seq):
         carry = coloring.assign(x, f, carry)
-    if debug and (bad := coloring.violation_at((x, *seq))) is not None:
-        raise InvariantError(f"rotation broke properness: {bad}")

@@ -24,15 +24,17 @@ from collections import Counter
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .altpath import AltPath, invert, maximal_path
+from .altpath import AltPath, check_path, invert, is_maximal_path, maximal_path
 from .coloring import EdgeColoring
 from .errors import (
     FanInvariantError,
     InvariantError,
+    NotMaximalError,
+    PathInvariantError,
     PreconditionError,
     SubfanError,
 )
-from .fan import Fan, maximal_fan, rotate_fan
+from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan
 from .graph import Edge, Graph
 
 
@@ -92,12 +94,14 @@ def extend_coloring(
     step's `StepTrace` as soon as that step is done.
 
     With `debug`, the full `is_proper` scan and the pending-edge check of
-    every edge run once, before the first step. Each step then runs the
-    lemma checkers, which check only what the step wrote: its fan and path
-    rows for properness, and its fan and path edges against the edges
-    still pending. That keeps a debug step at about the cost of the step.
-    A write made around `assign` escapes these; one more full `is_proper`
-    after the last step reports it.
+    every edge run once, before the first step. Each step then runs each
+    lemma checker once on each state it reaches: the fan as built, the
+    path before and after its inversion, the subfan after it, and the
+    rotation. The building blocks check nothing themselves. Properness is
+    checked on the rows the step wrote, and pending edges against the fan
+    and path edges it wrote, which keeps a debug step at about the cost of
+    the step. A write made around `assign` escapes these; one more full
+    `is_proper` after the last step reports it.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -123,27 +127,57 @@ def extend_coloring(
     for i, (x, y) in enumerate(edges):
         before = coloring.count_colored()
 
-        fan = maximal_fan(coloring, x, y, debug)
+        fan = maximal_fan(coloring, x, y)
+        if debug:
+            check_fan(coloring, fan)
+            if not is_maximal_fan(coloring, fan):
+                raise NotMaximalError(f"constructed fan {fan.seq} is not maximal")
         a = coloring.min_free_color(fan.last())
         b = coloring.min_free_color(x)
 
         if a == b:
             subfan = fan
             path_seq: tuple[int, ...] = ()
-            rotate_fan(coloring, fan, a, debug)
         else:
-            path = maximal_path(coloring, a, b, x, debug)
-            subfan = find_subfan(coloring, fan, path, a)
-            invert(coloring, path, debug)
-            # A debug rotation checks the subfan and that `a` is valid for
-            # its last edge; failing that, the subfan rule is at fault.
-            try:
-                rotate_fan(coloring, subfan, a, debug)
-            except FanInvariantError as exc:
-                raise SubfanError(
-                    f"subfan {subfan.seq} invalid after inversion: {exc}"
-                ) from exc
+            path = maximal_path(coloring, a, b, x)
             path_seq = path.seq
+            if debug:
+                check_path(coloring, path)
+                if not is_maximal_path(coloring, path):
+                    raise NotMaximalError(f"constructed path {path_seq} is not maximal")
+                for z in g.adj[x]:
+                    if coloring.color_of(x, z) in (a, b) and z not in path_seq:
+                        raise InvariantError(
+                            f"backward extension exists at {x} via {z}; "
+                            "one-sided construction assumption violated"
+                        )
+            subfan = find_subfan(coloring, fan, path, a)
+            invert(coloring, path)
+            if debug:
+                # `invert` writes only path edges, and they alternated
+                # a, b before, so the swap left them alternating b, a.
+                try:
+                    check_path(coloring, AltPath(b, a, path_seq))
+                except PathInvariantError as exc:
+                    raise InvariantError(
+                        f"inversion of {path_seq} violated the swap contract: {exc}"
+                    ) from exc
+                if (bad := coloring.violation_at(path_seq)) is not None:
+                    raise InvariantError(f"inversion broke properness: {bad}")
+                try:
+                    check_fan(coloring, subfan)
+                except FanInvariantError as exc:
+                    raise SubfanError(
+                        f"subfan {subfan.seq} invalid after inversion: {exc}"
+                    ) from exc
+        if debug and not coloring.edge_color_valid(x, subfan.last(), a):
+            # After an inversion, the subfan rule is at fault.
+            raise (SubfanError if path_seq else FanInvariantError)(
+                f"color {a} is not valid for the last fan edge ({x}, {subfan.last()})"
+            )
+        rotate_fan(coloring, subfan, a)
+        if debug and (bad := coloring.violation_at((x, *subfan.seq))) is not None:
+            raise InvariantError(f"rotation broke properness: {bad}")
 
         after = coloring.count_colored()
         if debug and after != before + 1:

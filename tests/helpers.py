@@ -5,14 +5,33 @@ Everything here is seeded by the caller, so test runs are reproducible.
 rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
 with. `free_colors_on` lists a vertex's free colors through the public
-`is_free`.
+`is_free`. The building blocks check nothing themselves, so the
+`checked_*` wrappers run the lemma checkers around each one, as
+`extend_coloring(debug=True)` does.
 """
 
 from __future__ import annotations
 
 import random
 
-from mgcolor import EdgeColoring, Fan, Graph, Verdict, Violation, gnp_graph
+from mgcolor import (
+    AltPath,
+    EdgeColoring,
+    Fan,
+    Graph,
+    Verdict,
+    Violation,
+    check_fan,
+    check_path,
+    gnp_graph,
+    invert,
+    is_inverted,
+    is_maximal_fan,
+    is_maximal_path,
+    maximal_fan,
+    maximal_path,
+    rotate_fan,
+)
 
 
 def rand_graph(rng: random.Random, n_max: int = 10) -> Graph:
@@ -52,6 +71,42 @@ def rand_proper_coloring(
 def free_colors_on(coloring: EdgeColoring, v: int) -> list[int]:
     """Palette colors absent from v's incident edges, ascending."""
     return [c for c in range(coloring.palette) if coloring.is_free(v, c)]
+
+
+def checked_maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
+    """`maximal_fan`, asserted valid and maximal."""
+    fan = maximal_fan(coloring, x, y)
+    check_fan(coloring, fan)
+    assert is_maximal_fan(coloring, fan)
+    return fan
+
+
+def checked_maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
+    """`maximal_path`, asserted valid, maximal and not extendable at x."""
+    path = maximal_path(coloring, a, b, x)
+    check_path(coloring, path)
+    assert is_maximal_path(coloring, path)
+    for z in coloring.graph.adj[x]:
+        assert coloring.color_of(x, z) not in (a, b) or z in path.seq
+    return path
+
+
+def checked_rotate_fan(coloring: EdgeColoring, fan: Fan, color: int | None) -> None:
+    """`rotate_fan` of a valid fan with a valid color, asserted proper after."""
+    check_fan(coloring, fan)
+    assert coloring.edge_color_valid(fan.center, fan.last(), color)
+    rotate_fan(coloring, fan, color)
+    assert coloring.is_proper().proper
+
+
+def checked_invert(coloring: EdgeColoring, path: AltPath) -> None:
+    """`invert` of a valid maximal path, asserted swapped and proper after."""
+    check_path(coloring, path)
+    assert is_maximal_path(coloring, path)
+    before = coloring.copy()
+    invert(coloring, path)
+    assert is_inverted(before, coloring, path)
+    assert coloring.is_proper().proper
 
 
 def uncolored_edges(coloring: EdgeColoring) -> list[tuple[int, int]]:

@@ -14,11 +14,16 @@ import time
 import tracemalloc
 
 from mgcolor import (
+    check_fan,
+    check_path,
     complete_graph,
     cycle_graph,
     format_dimacs,
     gnp_graph,
     invert,
+    is_inverted,
+    is_maximal_fan,
+    is_maximal_path,
     maximal_fan,
     maximal_path,
     mk_edge_coloring,
@@ -114,9 +119,12 @@ def test_criterion_3_lemma_suite():
         free = uncolored_edges(coloring)
         if free:
             x, y = free[rng.randrange(len(free))]
-            fan = maximal_fan(coloring, x, y, debug=True)
+            fan = maximal_fan(coloring, x, y)
+            check_fan(coloring, fan)
+            assert is_maximal_fan(coloring, fan)
             scratch = coloring.copy()
-            rotate_fan(scratch, fan, pick_rotation_color(rng, coloring, fan), debug=True)
+            rotate_fan(scratch, fan, pick_rotation_color(rng, coloring, fan))
+            assert scratch.is_proper().proper
             rotations += 1
 
         # Inversion lemma and the not-in-path lemma (asserted on every step
@@ -127,13 +135,17 @@ def test_criterion_3_lemma_suite():
             if free_colors:
                 b = rng.choice(free_colors)
                 a = rng.choice([c for c in range(coloring.palette) if c != b])
-                path = maximal_path(coloring, a, b, x, debug=True)
+                path = maximal_path(coloring, a, b, x)
+                check_path(coloring, path)
+                assert is_maximal_path(coloring, path)
                 scratch = coloring.copy()
-                invert(scratch, path, debug=True)
+                invert(scratch, path)
+                assert is_inverted(coloring, scratch, path)
+                assert scratch.is_proper().proper
                 inversions += 1
 
         # Subfan existence lemma: every inversion branch of the full
-        # algorithm re-checks the selected subfan in debug mode.
+        # algorithm checks the selected subfan in debug mode.
         trace = []
         mk_edge_coloring(g, debug=True, on_step=trace.append)
         subfan_hits += sum(1 for step in trace if step.path)

@@ -19,13 +19,14 @@ from mgcolor import (
     maximal_path,
     path_graph,
 )
-from mgcolor.errors import (
-    InvariantError,
-    NotMaximalError,
-    PathInvariantError,
-    PreconditionError,
+from mgcolor.errors import InvariantError, PathInvariantError, PreconditionError
+from tests.helpers import (
+    checked_invert,
+    checked_maximal_path,
+    free_colors_on,
+    rand_graph,
+    rand_proper_coloring,
 )
-from tests.helpers import free_colors_on, rand_graph, rand_proper_coloring
 
 
 def two_edge_instance():
@@ -105,15 +106,15 @@ class TestNextVertex:
     def test_none_when_no_candidate(self):
         C = two_edge_instance()
         # Color 2 is on no edge at 0: no a-edge, so the path is [0].
-        assert maximal_path(C, 2, 1, 0, debug=True).seq == (0,)
+        assert checked_maximal_path(C, 2, 1, 0).seq == (0,)
         # From [0, 1] the next edge must be colored 1; vertex 1 has none.
-        assert maximal_path(C, 0, 1, 0, debug=True).seq == (0, 1)
+        assert checked_maximal_path(C, 0, 1, 0).seq == (0, 1)
 
     def test_first_step_follows_color_a(self):
         C = two_edge_instance()
         C.set_edge_color(1, 2, 1)
-        assert maximal_path(C, 0, 1, 0, debug=True).seq == (0, 1, 2)
-        assert maximal_path(C, 1, 0, 2, debug=True).seq == (2, 1, 0)
+        assert checked_maximal_path(C, 0, 1, 0).seq == (0, 1, 2)
+        assert checked_maximal_path(C, 1, 0, 2).seq == (2, 1, 0)
 
     def test_candidates_never_on_path(self):
         rng = random.Random(43)
@@ -129,7 +130,7 @@ class TestNextVertex:
                 continue
             b = rng.choice(free)
             a = rng.choice([c for c in range(C.palette) if c != b])
-            path = maximal_path(C, a, b, x, debug=True)
+            path = checked_maximal_path(C, a, b, x)
             assert len(set(path.seq)) == len(path.seq)
             observed += len(path.seq) - 1
         assert observed > 100
@@ -147,12 +148,12 @@ class TestMaximalPath:
     def test_singleton_when_no_a_edge(self):
         g = path_graph(2)
         C = EdgeColoring(g, 2)
-        path = maximal_path(C, 0, 1, 0, debug=True)
+        path = checked_maximal_path(C, 0, 1, 0)
         assert path.seq == (0,)
 
     def test_two_vertex_path(self):
         C = two_edge_instance()
-        path = maximal_path(C, 0, 1, 0, debug=True)
+        path = checked_maximal_path(C, 0, 1, 0)
         assert path.seq == (0, 1)
         check_path(C, path)
         assert is_maximal_path(C, path)
@@ -180,7 +181,7 @@ class TestMaximalPath:
                 continue
             b = rng.choice(free)
             a = rng.choice([c for c in range(C.palette) if c != b])
-            path = maximal_path(C, a, b, x, debug=True)
+            path = checked_maximal_path(C, a, b, x)
             assert len(path.seq) <= g.n
             assert path.seq[0] == x
             check_path(C, path)
@@ -215,25 +216,16 @@ class TestInvert:
         before = C.copy()
         path = maximal_path(C, 2, 1, 2)  # vertex 2 has no 2-colored edge
         assert path.seq == (2,)
-        invert(C, path, debug=True)
+        checked_invert(C, path)
         assert C == before
 
     def test_single_edge_swap(self):
         C = two_edge_instance()
         path = maximal_path(C, 0, 1, 0)
         assert path.seq == (0, 1)
-        invert(C, path, debug=True)
+        checked_invert(C, path)
         assert C.color_of(0, 1) == 1
         assert C.color_of(1, 2) is None
-
-    def test_not_maximal_rejected_in_debug(self):
-        g = path_graph(3)
-        C = EdgeColoring(g, 3)
-        C.set_edge_color(0, 1, 0)
-        C.set_edge_color(1, 2, 1)
-        truncated = AltPath(0, 1, (0, 1))  # extendable to (0, 1, 2)
-        with pytest.raises(NotMaximalError):
-            invert(C, truncated, debug=True)
 
     def test_inversion_lemma_randomized(self):
         rng = random.Random(53)
@@ -244,7 +236,7 @@ class TestInvert:
                 continue
             C, path = inst
             before = C.copy()
-            invert(C, path, debug=True)
+            checked_invert(C, path)
             assert C.is_proper().proper
             assert is_inverted(before, C, path)
             # Exactly the colored path edges changed, each by an a/b swap.

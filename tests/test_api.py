@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import mgcolor
@@ -47,6 +48,9 @@ PUBLIC = [
     "verify_coloring",
 ]
 
+# Debug checks live in the main loop; no building block has its own switch.
+TAKES_DEBUG = ["extend_coloring", "mk_edge_coloring"]
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -54,6 +58,20 @@ def test_public_names():
     assert sorted(mgcolor.__all__) == sorted(PUBLIC)
     for name in mgcolor.__all__:
         assert getattr(mgcolor, name) is not None
+
+
+def test_only_the_main_loop_takes_debug():
+    takers = []
+    for name in mgcolor.__all__:
+        obj = getattr(mgcolor, name)
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                        if callable(fn) and not attr.startswith("__")]
+        for label, fn in members:
+            if callable(fn) and "debug" in inspect.signature(fn).parameters:
+                takers.append(label)
+    assert sorted(takers) == TAKES_DEBUG
 
 
 def test_trace_targets_resolve():

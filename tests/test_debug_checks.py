@@ -1,11 +1,15 @@
-"""Debug checks at the cost of a step.
+"""Debug checks at the cost of a step, in one place.
 
-A debug step checks properness only on the rows it wrote, checks the swap
-contract of an inversion from the colors its writes replaced, and checks
-only its written edges against the pending ones. These tests show that
-this gives the verdicts of the full scans, that the full scans run only
-at the two ends of a run, and that a one-step run holds its lemmas on
-every state of every small graph.
+The fan and path building blocks check nothing; `extend_coloring(debug=True)`
+runs each lemma checker once on each state a step reaches. It checks
+properness only on the rows the step wrote, the swap contract of an
+inversion as the path alternating with its colors swapped, and only the
+written edges against the pending ones. These tests show that this gives
+the verdicts of the full scans, that the full scans run only at the two
+ends of a run, that each checker runs once per state, that a fault in any
+building block is caught at its step, and that a one-step run holds its
+lemmas on every state of every small graph and on seeded samples of other
+adjacency orders and of five-vertex states.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgcolor import (
+    AltPath,
     EdgeColoring,
+    Fan,
     Graph,
     complete_graph,
     extend_coloring,
@@ -28,8 +34,13 @@ from mgcolor import (
     mk_edge_coloring,
     path_graph,
 )
-from mgcolor import fan, vizing
-from mgcolor.errors import InvariantError, PreconditionError
+from mgcolor import altpath, fan, vizing
+from mgcolor.errors import (
+    InvariantError,
+    NotMaximalError,
+    PreconditionError,
+    SubfanError,
+)
 from tests.helpers import rand_proper_coloring, uncolored_edges
 
 
@@ -133,22 +144,58 @@ def test_debug_run_makes_two_full_scans_and_no_copies(monkeypatch):
     assert C.count_colored() == g.m
 
 
-def test_a_debug_step_makes_two_fan_checks(monkeypatch):
-    # maximal_fan checks the fan it built and rotate_fan the fan (or, after
-    # an inversion, the subfan) it rotates; extend_coloring adds none.
-    calls = []
-    real = fan.check_fan
+def test_a_debug_step_checks_each_fan_and_path_state_once(monkeypatch):
+    # The fan as built, and after an inversion the subfan; the path before
+    # the inversion, and after it with its colors swapped.
+    calls = {"check_fan": 0, "check_path": 0}
+    for mod, name in [(fan, "check_fan"), (altpath, "check_path")]:
+        real = getattr(mod, name)
 
-    def counted(coloring, f):
-        calls.append(f)
-        return real(coloring, f)
+        def counted(coloring, checked, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(coloring, checked)
 
-    for mod in (fan, vizing):
-        if hasattr(mod, "check_fan"):
-            monkeypatch.setattr(mod, "check_fan", counted)
+        for owner in (fan, altpath, vizing):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, counted)
     steps = []
     mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True, on_step=steps.append)
-    assert (len(steps), len(calls)) == (727, 2 * 727)
+    inversions = sum(1 for step in steps if step.path)
+    assert (len(steps), inversions) == (727, 659)
+    assert calls == {"check_fan": 727 + 659, "check_path": 2 * 659}
+
+
+def shorter_fan(coloring, x, y):
+    f = fan.maximal_fan(coloring, x, y)
+    return Fan(f.center, f.seq[:-1] or f.seq)
+
+
+def shorter_path(coloring, a, b, x):
+    p = altpath.maximal_path(coloring, a, b, x)
+    return AltPath(p.a, p.b, p.seq[:-1] or p.seq)
+
+
+def whole_fan(coloring, f, path, a):
+    return f
+
+
+def invert_all_but_last(coloring, path):
+    altpath.invert(coloring, AltPath(path.a, path.b, path.seq[:-1]))
+
+
+@pytest.mark.parametrize("name, fault, error, message", [
+    ("maximal_fan", shorter_fan, NotMaximalError, "constructed fan"),
+    ("maximal_path", shorter_path, NotMaximalError, "constructed path"),
+    ("find_subfan", whole_fan, SubfanError, "invalid after inversion"),
+    ("invert", invert_all_but_last, InvariantError, "violated the swap contract"),
+])
+def test_a_faulty_building_block_is_caught_at_its_step(name, fault, error, message):
+    # Each fault breaks one lemma the next debug check relies on: a fan or
+    # path one vertex short of maximal, the whole fan where the subfan rule
+    # truncates it, an inversion that skips its last write.
+    with mock.patch.object(vizing, name, fault):
+        with pytest.raises(error, match=message):
+            mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True)
 
 
 def proper_partial_colorings(g: Graph):
@@ -172,21 +219,79 @@ def proper_partial_colorings(g: Graph):
     yield from extend(0)
 
 
+def edge_lists(n: int):
+    """The edges of every graph on vertices 0..n-1 with at least one edge,
+    in canonical order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1, 1 << len(pairs)):
+        yield [e for i, e in enumerate(pairs) if mask >> i & 1]
+
+
+def other_adjacency_orders(n: int, edges: list) -> list:
+    """One edge list per adjacency order of `Graph(n, edges)` other than
+    the one `edges` gives, in a fixed order."""
+    seen = {tuple(map(tuple, Graph(n, edges).adj))}
+    orders = []
+    for perm in itertools.permutations(edges):
+        key = tuple(map(tuple, Graph(n, perm).adj))
+        if key not in seen:
+            seen.add(key)
+            orders.append(perm)
+    return orders
+
+
+def step_every_uncolored_edge(state: EdgeColoring) -> int:
+    """One debug step from `state` on each uncolored edge; their number.
+
+    Each step must color exactly one more edge, keep the coloring proper
+    and keep every colored edge colored, and no checker may fire.
+    """
+    colored = [e for e in state.graph.edge_set() if state.color_of(*e) is not None]
+    free = uncolored_edges(state)
+    for e in free:
+        C = state.copy()
+        extend_coloring(C, [e], debug=True)
+        assert C.count_colored() == state.count_colored() + 1
+        assert C.is_proper().proper
+        assert all(C.color_of(*f) is not None for f in colored)
+    return len(free)
+
+
 def test_one_step_on_every_state_of_every_graph_up_to_four_vertices():
     # Graphs in canonical edge order; debug mode runs every lemma checker.
     steps = graphs = 0
     for n in range(5):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1, 1 << len(pairs)):
-            g = Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        for edges in edge_lists(n):
+            g = Graph(n, edges)
             graphs += 1
-            for state in proper_partial_colorings(g):
-                colored = [e for e in g.edge_set() if state.color_of(*e) is not None]
-                for e in uncolored_edges(state):
-                    C = state.copy()
-                    extend_coloring(C, [e], debug=True)
-                    assert C.count_colored() == state.count_colored() + 1
-                    assert C.is_proper().proper
-                    assert all(C.color_of(*f) is not None for f in colored)
-                    steps += 1
+            steps += sum(map(step_every_uncolored_edge, proper_partial_colorings(g)))
     assert (graphs, steps) == (71, 18571)
+
+
+def test_one_step_on_every_state_of_sampled_adjacency_orders():
+    # For each graph on at most 4 vertices, one seeded pick among its other
+    # adjacency orders, which change the fan and path candidate order.
+    rng = random.Random(2026)
+    steps = graphs = 0
+    for n in range(5):
+        for edges in edge_lists(n):
+            orders = other_adjacency_orders(n, edges)
+            if orders:
+                g = Graph(n, rng.choice(orders))
+                graphs += 1
+                steps += sum(map(step_every_uncolored_edge, proper_partial_colorings(g)))
+    assert (graphs, steps) == (58, 18543)
+
+
+def test_one_step_on_sampled_states_of_five_vertex_graphs():
+    # Every graph on 5 vertices, each in a seeded adjacency order and from
+    # seeded random proper partial colorings.
+    rng = random.Random(5)
+    steps = graphs = 0
+    for edges in edge_lists(5):
+        rng.shuffle(edges)
+        g = Graph(5, edges)
+        graphs += 1
+        for _ in range(8):
+            steps += step_every_uncolored_edge(rand_proper_coloring(rng, g))
+    assert (graphs, steps) == (1023, 19874)

@@ -23,8 +23,11 @@ from mgcolor.errors import (
     FanInvariantError,
     NotAnEdgeError,
     PreconditionError,
+    VertexRangeError,
 )
 from tests.helpers import (
+    checked_maximal_fan,
+    checked_rotate_fan,
     pick_rotation_color,
     rand_graph,
     rand_proper_coloring,
@@ -68,11 +71,11 @@ class TestMaximalFan:
         # No colored edge exists, and an uncolored edge can never extend a fan.
         for g in [complete_graph(4), star_graph(3)]:
             C = EdgeColoring(g, g.max_degree() + 1)
-            assert maximal_fan(C, 0, 1, debug=True).seq == (1,)
+            assert checked_maximal_fan(C, 0, 1).seq == (1,)
 
     def test_star_extends_once(self):
         C = star2_instance()
-        fan = maximal_fan(C, 0, 1, debug=True)
+        fan = checked_maximal_fan(C, 0, 1)
         assert fan.seq == (1, 2)
         check_fan(C, fan)
 
@@ -96,7 +99,7 @@ class TestMaximalFan:
             if not free:
                 continue
             x, y = free[rng.randrange(len(free))]
-            fan = maximal_fan(C, x, y, debug=True)
+            fan = checked_maximal_fan(C, x, y)
             assert is_maximal_fan(C, fan)
             checked += 1
         assert checked > 60
@@ -111,6 +114,13 @@ class TestMaximalFan:
         C = EdgeColoring(complete_graph(2), 2)
         assert is_maximal_fan(C, Fan(0, (1,)))
 
+    def test_vertices_out_of_range_rejected(self):
+        # A negative center or last vertex must not index from the end.
+        C = EdgeColoring(complete_graph(3), 3)
+        for fan in [Fan(-1, (0,)), Fan(0, (-1,)), Fan(3, (0,)), Fan(0, (3,))]:
+            with pytest.raises(VertexRangeError):
+                is_maximal_fan(C, fan)
+
     def test_candidate_scan_follows_adjacency_order(self):
         # Two admissible candidates; the one mentioned first in the input
         # edge list wins, so insertion order fully determines the fan.
@@ -122,7 +132,7 @@ class TestMaximalFan:
             C = EdgeColoring(g, 3)
             C.set_edge_color(0, 2, 0)
             C.set_edge_color(0, 3, 1)
-            assert maximal_fan(C, 0, 1, debug=True).seq == expected
+            assert checked_maximal_fan(C, 0, 1).seq == expected
 
     def test_structure(self):
         rng = random.Random(77)
@@ -161,14 +171,14 @@ class TestRotate:
     def test_singleton_unrolled(self):
         C = EdgeColoring(complete_graph(2), 2)
         fan = Fan(0, (1,))
-        rotate_fan(C, fan, 0, debug=True)
+        checked_rotate_fan(C, fan, 0)
         assert C.color_of(0, 1) == 0
         assert C.count_colored() == 1
 
     def test_two_fan_unrolled(self):
         C = star2_instance()
         fan = maximal_fan(C, 0, 1)  # <1, 2> with (0, 2) = 0
-        rotate_fan(C, fan, 2, debug=True)
+        checked_rotate_fan(C, fan, 2)
         assert C.color_of(0, 1) == 0
         assert C.color_of(0, 2) == 2
 
@@ -177,12 +187,11 @@ class TestRotate:
         with pytest.raises(PreconditionError):
             rotate_fan(C, Fan(0, (2,)), 1)
 
-    def test_debug_rejects_invalid_fan(self):
-        # Both fan edges uncolored: passes the uncolored-first precondition
-        # but breaks the color property (an uncolored edge can't be interior).
-        C = EdgeColoring(star_graph(2), 3)
-        with pytest.raises(FanInvariantError):
-            rotate_fan(C, Fan(0, (1, 2)), None, debug=True)
+    def test_empty_fan_rejected(self):
+        C = EdgeColoring(complete_graph(3), 3)
+        with pytest.raises(PreconditionError):
+            rotate_fan(C, Fan(0, ()), 0)
+        assert C.count_colored() == 0
 
     def test_preserves_properness_and_counts(self):
         rng = random.Random(13)
@@ -198,7 +207,7 @@ class TestRotate:
             fan = maximal_fan(C, x, y)
             color = pick_rotation_color(rng, C, fan)
             before = C.count_colored()
-            rotate_fan(C, fan, color, debug=True)
+            checked_rotate_fan(C, fan, color)
             if color is not None:
                 real_color += 1
                 assert C.count_colored() == before + 1

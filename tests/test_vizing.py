@@ -15,7 +15,6 @@ from mgcolor import (
     exact_chromatic_index,
     extend_coloring,
     find_subfan,
-    invert,
     maximal_fan,
     maximal_path,
     mk_edge_coloring,
@@ -26,7 +25,12 @@ from mgcolor import (
 )
 from mgcolor.errors import InvariantError, PreconditionError, SubfanError
 from mgcolor.fan import Fan
-from tests.helpers import rand_graph
+from tests.helpers import (
+    checked_invert,
+    checked_maximal_fan,
+    checked_maximal_path,
+    rand_graph,
+)
 
 
 class TestFindSubfan:
@@ -45,7 +49,7 @@ class TestFindSubfan:
         assert path.seq == (0,)
         sub = find_subfan(C, fan, path, a)
         assert sub == fan
-        invert(C, path, debug=True)
+        checked_invert(C, path)
         check_fan(C, sub)
         assert C.is_free(sub.last(), a)
 
@@ -57,16 +61,16 @@ class TestFindSubfan:
         C.set_edge_color(0, 2, 0)
         C.set_edge_color(0, 3, 2)
         C.set_edge_color(2, 4, 1)
-        fan = maximal_fan(C, 0, 1, debug=True)
+        fan = checked_maximal_fan(C, 0, 1)
         assert fan.seq == (1, 2, 3)
         a = C.min_free_color(fan.last())
         b = C.min_free_color(0)
         assert (a, b) == (0, 1)
-        path = maximal_path(C, a, b, 0, debug=True)
+        path = checked_maximal_path(C, a, b, 0)
         assert path.seq == (0, 2, 4)
         sub = find_subfan(C, fan, path, a)
         assert sub.seq == (1,)
-        invert(C, path, debug=True)
+        checked_invert(C, path)
         check_fan(C, sub)
         assert C.is_free(sub.last(), a)
         assert C.is_free(0, a)  # inversion freed a on the center
@@ -79,16 +83,16 @@ class TestFindSubfan:
         C.set_edge_color(0, 2, 0)
         C.set_edge_color(0, 3, 2)
         C.set_edge_color(1, 2, 1)
-        fan = maximal_fan(C, 0, 1, debug=True)
+        fan = checked_maximal_fan(C, 0, 1)
         assert fan.seq == (1, 2, 3)
         a = C.min_free_color(fan.last())
         b = C.min_free_color(0)
         assert (a, b) == (0, 1)
-        path = maximal_path(C, a, b, 0, debug=True)
+        path = checked_maximal_path(C, a, b, 0)
         assert path.seq == (0, 2, 1)
         sub = find_subfan(C, fan, path, a)
         assert sub == fan
-        invert(C, path, debug=True)
+        checked_invert(C, path)
         check_fan(C, sub)
         assert C.is_free(sub.last(), a)
 
