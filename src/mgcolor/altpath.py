@@ -85,6 +85,8 @@ def is_maximal_path(coloring: EdgeColoring, path: AltPath) -> bool:
 
     That color is a when the path has an odd number of vertices, else b.
     """
+    if not path.seq:
+        raise PathInvariantError("path sequence is empty")
     want = path.a if len(path.seq) % 2 else path.b
     return coloring.is_free(path.seq[-1], want)
 

@@ -22,10 +22,10 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
 from typing import TextIO
 
@@ -33,7 +33,7 @@ from .coloring import format_coloring, parse_coloring
 from .errors import BadParamsError, InputError, TooLargeError
 from .graph import FAMILIES, Graph, format_dimacs, gen_family, parse_dimacs
 from .oracle import DEFAULT_MAX_EDGES, exact_chromatic_index, verify_coloring
-from .vizing import mk_edge_coloring
+from .vizing import StepTrace, mk_edge_coloring
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -56,6 +56,23 @@ def _load_graph(path: str) -> Graph:
     return parse_dimacs(_read(path))
 
 
+def _trace_writer(tr: TextIO) -> Callable[[StepTrace], object]:
+    """`on_step` that writes each record to `tr` as one JSON object per line.
+
+    Keys follow `StepTrace._fields`. Every field is an int or a tuple of
+    ints, and `%s` of an int or of a list of ints gives the text `json`
+    writes for it, so filling a template made once gives the bytes of
+    `json.dumps(step._asdict())` at a fraction of its cost.
+    """
+    line = "{" + ", ".join(f'"{name}": %s' for name in StepTrace._fields) + "}\n"
+    write = tr.write
+
+    def on_step(step: StepTrace) -> None:
+        write(line % tuple([list(v) if v.__class__ is tuple else v for v in step]))
+
+    return on_step
+
+
 def cmd_color(args: argparse.Namespace) -> int:
     if args.output and args.trace and (
         os.path.realpath(args.output) == os.path.realpath(args.trace)
@@ -63,7 +80,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         raise BadParamsError(f"-o and --trace name the same file: {args.trace}")
     g = _load_graph(args.input)
     with _open_out(args.output, sys.stdout) as out, _open_out(args.trace, None) as tr:
-        on_step = (lambda s: tr.write(json.dumps(s._asdict()) + "\n")) if tr else None
+        on_step = _trace_writer(tr) if tr else None
         t0 = time.perf_counter()
         coloring = mk_edge_coloring(g, debug=args.debug_checks, on_step=on_step)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -296,7 +296,7 @@ class EdgeColoring:
         are exactly its graph edges is skipped there.
         """
         g = self.graph
-        c = self.palette
+        n, c = g.n, self.palette
         rows = self._colors
         adj, adj_sets = g.adj, g._adj_sets
         non_edge = duplicate = bound = incomplete = None
@@ -319,12 +319,15 @@ class EdgeColoring:
                         "duplicate_color", vertex=u, edge=(u, v), colors=(x,)
                     )
                 row_seen.add(x)
-                if non_edge is None and v > u and v not in adj_sets[u]:
+                # A non-edge is reported from its lower row; a key outside
+                # [0, n) has no row of its own, so it is reported from here.
+                if non_edge is None and v not in adj_sets[u] and (v > u or not 0 <= v < n):
                     non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
         if seen_colors and not (min(seen_colors) >= 0 and max(seen_colors) < c):
-            # Both orientations are stored, so some (u, v > u) carries it.
-            u, v = min((u, v) for u, row in enumerate(rows)
-                       for v, x in row.items() if v > u and not 0 <= x < c)
+            # Both orientations are stored, so some (u, v > u) carries it,
+            # or a row holds it under a key outside [0, n).
+            u, v = min((u, v) for u, row in enumerate(rows) for v, x in row.items()
+                       if (v > u or not 0 <= v < n) and not 0 <= x < c)
             bound = Violation("bound", edge=(u, v), colors=(rows[u][v],))
 
         proper = non_edge is None and duplicate is None
@@ -405,47 +408,58 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     strict about syntax, duplicate edge lines, and dimensions; the header's
     colors_used field is informational and not validated. Memory follows
     the graph and the number of lines, never the header's palette.
+
+    One pass validates each line once, and each edge line is stored by one
+    trusted `assign`.
     """
+    n = graph.n
     coloring: EdgeColoring | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields[0] == "s":
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e":
+            if coloring is None:
+                raise ParseError("edge line before 's' header", lineno)
+            if len(fields) != 4:
+                raise ParseError("edge line must be 'e <u> <v> <color>'", lineno)
+            try:
+                u, v, col = int(fields[1]), int(fields[2]), int(fields[3])
+            except ValueError:
+                # Names the first field that is not an integer.
+                u, v, col = (_int_field(f, lineno) for f in fields[1:])
+            if not (0 < u <= n and 0 < v <= n):
+                raise ParseError(f"vertex out of range 1..{n}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            if col < 1:
+                raise ParseError("colors are 1-based and must be >= 1", lineno)
+            if v - 1 in rows[u - 1]:
+                raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
+            # Each edge is written once, so the trusted write replaces nothing.
+            assign(u - 1, v - 1, col - 1)
+        elif tag[0] == "c":
+            continue
+        elif tag == "s":
             if coloring is not None:
                 raise ParseError("duplicate 's' header", lineno)
             if len(fields) != 5:
                 raise ParseError(
                     "header must be 's <n> <m> <palette> <colors_used>'", lineno
                 )
-            n, m, palette, _used = (_int_field(f, lineno) for f in fields[1:])
-            if n != graph.n or m != graph.m:
+            hn, hm, palette, _used = (_int_field(f, lineno) for f in fields[1:])
+            if hn != n or hm != graph.m:
                 raise DimensionMismatchError(
-                    f"coloring header n={n} m={m} does not match graph "
-                    f"n={graph.n} m={graph.m}"
+                    f"coloring header n={hn} m={hm} does not match graph "
+                    f"n={n} m={graph.m}"
                 )
             if palette < 1:
                 raise ParseError("palette must be >= 1", lineno)
             coloring = EdgeColoring(graph, palette)
-        elif fields[0] == "e":
-            if coloring is None:
-                raise ParseError("edge line before 's' header", lineno)
-            if len(fields) != 4:
-                raise ParseError("edge line must be 'e <u> <v> <color>'", lineno)
-            u, v, col = (_int_field(f, lineno) for f in fields[1:])
-            if not 1 <= u <= graph.n or not 1 <= v <= graph.n:
-                raise ParseError(f"vertex out of range 1..{graph.n}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            if col < 1:
-                raise ParseError("colors are 1-based and must be >= 1", lineno)
-            if v - 1 in coloring._colors[u - 1]:
-                raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
-            # Each edge is written once, so the trusted write replaces nothing.
-            coloring.assign(u - 1, v - 1, col - 1)
+            rows, assign = coloring._colors, coloring.assign
         else:
-            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+            raise ParseError(f"unknown line type {tag!r}", lineno)
     if coloring is None:
         raise ParseError("missing 's' header")
     return coloring

@@ -83,6 +83,8 @@ def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
 
 def is_maximal_fan(coloring: EdgeColoring, fan: Fan) -> bool:
     """True iff no neighbor of the center outside the fan can be appended."""
+    if not fan.seq:
+        raise FanInvariantError("fan sequence is empty")
     x = fan.center
     n = coloring.graph.n
     for v in (x, fan.last()):

@@ -26,8 +26,13 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Construction validates everything: neighbor ids in range, no self-loops,
-    no multi-edges. Adjacency is stored symmetrically. Instances must not be
+    `Graph(n, edges)` validates everything: neighbor ids in range, no
+    self-loops, no multi-edges; a bad input raises the error of its first
+    bad edge. `_build` is the one piece of code that builds the adjacency.
+    `Graph(n, edges)` runs it once every edge passes the range and self-loop
+    tests, and reads repeated edges off the neighbor sets it built. A parser
+    that has already checked every edge calls it through `_trusted`, without
+    a second check. Adjacency is stored symmetrically. Instances must not be
     mutated after construction; `adj[v]` is the live neighbor list of v in
     insertion order, and callers must treat it as read-only.
     """
@@ -37,28 +42,33 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise BadParamsError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
+        edges = list(edges)
+        if all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
+            self._build(n, edges)
+            # Without self-loops, the neighbor sets hold 2m entries exactly
+            # when no edge repeats.
+            if sum(map(len, self._adj_sets)) == 2 * self.m:
+                return
+        _raise_first_invalid(n, edges)
+
+    @classmethod
+    def _trusted(cls, n: int, edges: list[Edge]) -> Graph:
+        """Graph from edges already checked the way `Graph(n, edges)` checks
+        them; nothing is validated again."""
+        g = cls.__new__(cls)
+        g._build(n, edges)
+        return g
+
+    def _build(self, n: int, edges: list[Edge]) -> None:
         adj: list[list[int]] = [[] for _ in range(n)]
-        adj_sets: list[set[int]] = [set() for _ in range(n)]
-        m = 0
         for u, v in edges:
-            if not 0 <= u < n:
-                raise VertexRangeError(u, n)
-            if not 0 <= v < n:
-                raise VertexRangeError(v, n)
-            if u == v:
-                raise SelfLoopError(u)
-            if v in adj_sets[u]:
-                raise DuplicateEdgeError(u, v)
             adj[u].append(v)
-            adj_sets[u].add(v)
             adj[v].append(u)
-            adj_sets[v].add(u)
-            m += 1
+        self.n = n
+        self.m = len(edges)
         self.adj = adj
-        self.m = m
-        self._adj_sets = adj_sets
-        self._delta = max((len(row) for row in adj), default=0)
+        self._adj_sets = [set(row) for row in adj]
+        self._delta = max(map(len, adj), default=0)
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for edgeless or empty graphs."""
@@ -86,6 +96,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _raise_first_invalid(n: int, edges: list[Edge]) -> None:
+    """Raise the error of the first edge that is out of range, a self-loop
+    or a repeat of an earlier edge; `edges` must hold one."""
+    seen: set[int] = set()  # u * n + v of each edge, u < v
+    for u, v in edges:
+        if not 0 <= u < n:
+            raise VertexRangeError(u, n)
+        if not 0 <= v < n:
+            raise VertexRangeError(v, n)
+        if u == v:
+            raise SelfLoopError(u)
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdgeError(u, v)
+        seen.add(key)
+    raise AssertionError("no invalid edge to report")
 
 
 def complete_graph(n: int) -> Graph:
@@ -190,17 +218,44 @@ def parse_dimacs(text: str) -> Graph:
     Lines: `c ...` comments, exactly one `p edge <n> <m>` header, then
     `e <u> <v>` lines with 1-based endpoints. Blank lines are ignored.
     Raises ParseError with the offending line number.
+
+    One pass validates each line once: its integer fields, then the range,
+    self-loop and duplicate tests. The checked edges go to the `Graph`
+    through its trusted path, without a second check, and only after the
+    last line, so a file whose header declares a huge n but fails on a
+    later line never allocates anything per vertex.
     """
     n: int | None = None
     m: int | None = None
     edges: list[Edge] = []
-    seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    seen: set[int] = set()  # u * n + v of each edge, 1-based, u < v
+    for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields[0] == "p":
+        if not fields:
+            continue
+        tag = fields[0]
+        if tag == "e":
+            if n is None:
+                raise ParseError("edge line before 'p edge' header", lineno)
+            if len(fields) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", lineno)
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:
+                # Names the first field that is not an integer.
+                u, v = (_int_field(f, lineno) for f in fields[1:])
+            if not (0 < u <= n and 0 < v <= n):
+                raise ParseError(f"vertex out of range 1..{n}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen.add(key)
+            edges.append((u - 1, v - 1))
+        elif tag[0] == "c":
+            continue
+        elif tag == "p":
             if n is not None:
                 raise ParseError("duplicate 'p' header", lineno)
             if len(fields) != 4 or fields[1] != "edge":
@@ -208,28 +263,13 @@ def parse_dimacs(text: str) -> Graph:
             n, m = _int_field(fields[2], lineno), _int_field(fields[3], lineno)
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", lineno)
-        elif fields[0] == "e":
-            if n is None:
-                raise ParseError("edge line before 'p edge' header", lineno)
-            if len(fields) != 3:
-                raise ParseError("edge line must be 'e <u> <v>'", lineno)
-            u, v = _int_field(fields[1], lineno), _int_field(fields[2], lineno)
-            if not 1 <= u <= n or not 1 <= v <= n:
-                raise ParseError(f"vertex out of range 1..{n}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if key in seen:
-                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            seen.add(key)
-            edges.append((u - 1, v - 1))
         else:
-            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+            raise ParseError(f"unknown line type {tag!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' header")
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, file has {len(edges)}")
-    return Graph(n, edges)
+    return Graph._trusted(n, edges)
 
 
 def _int_field(s: str, lineno: int) -> int:

@@ -186,16 +186,7 @@ def extend_coloring(
             )
         if on_step is not None:
             on_step(
-                StepTrace(
-                    edge=(x, y),
-                    fan=fan.seq,
-                    color_a=a,
-                    color_b=b,
-                    path=path_seq,
-                    subfan_len=len(subfan.seq),
-                    colored_before=before,
-                    colored_after=after,
-                )
+                StepTrace((x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after)
             )
         if debug:
             waiting[(x, y) if x < y else (y, x)] -= 1

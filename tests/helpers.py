@@ -4,10 +4,12 @@ Everything here is seeded by the caller, so test runs are reproducible.
 `rotate_fan_direct` is the independent shift-then-color formulation of fan
 rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
-with. `free_colors_on` lists a vertex's free colors through the public
-`is_free`. The building blocks check nothing themselves, so the
-`checked_*` wrappers run the lemma checkers around each one, as
-`extend_coloring(debug=True)` does.
+with. `reference_parse_dimacs` and `reference_parse_coloring` are the
+line-by-line parsers the single-pass library parsers must agree with on
+every text, errors included. `free_colors_on` lists a vertex's free
+colors through the public `is_free`. The building blocks check nothing
+themselves, so the `checked_*` wrappers run the lemma checkers around each
+one, as `extend_coloring(debug=True)` does.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from mgcolor import (
     maximal_path,
     rotate_fan,
 )
+from mgcolor.errors import DimensionMismatchError, ParseError
+from mgcolor.graph import _int_field
 
 
 def rand_graph(rng: random.Random, n_max: int = 10) -> Graph:
@@ -191,3 +195,95 @@ def ordered_verdict(coloring: EdgeColoring) -> Verdict:
         bound_ok=bound is None,
         first_violation=non_edge or duplicate or incomplete or bound,
     )
+
+
+def reference_parse_dimacs(text: str) -> Graph:
+    """Reference graph parser: each line stripped, tested and split, each
+    field converted on its own, the edges then handed to the validated
+    `Graph(n, edges)`. `parse_dimacs` must agree with it on every text."""
+    n: int | None = None
+    m: int | None = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate 'p' header", lineno)
+            if len(fields) != 4 or fields[1] != "edge":
+                raise ParseError("header must be 'p edge <n> <m>'", lineno)
+            n, m = _int_field(fields[2], lineno), _int_field(fields[3], lineno)
+            if n < 0 or m < 0:
+                raise ParseError("n and m must be nonnegative", lineno)
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError("edge line before 'p edge' header", lineno)
+            if len(fields) != 3:
+                raise ParseError("edge line must be 'e <u> <v>'", lineno)
+            u, v = _int_field(fields[1], lineno), _int_field(fields[2], lineno)
+            if not 1 <= u <= n or not 1 <= v <= n:
+                raise ParseError(f"vertex out of range 1..{n}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if key in seen:
+                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen.add(key)
+            edges.append((u - 1, v - 1))
+        else:
+            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+    if n is None:
+        raise ParseError("missing 'p edge' header")
+    if len(edges) != m:
+        raise ParseError(f"header declares {m} edges, file has {len(edges)}")
+    return Graph(n, edges)
+
+
+def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:
+    """Reference coloring parser, line by line like `reference_parse_dimacs`.
+    `parse_coloring` must agree with it on every text."""
+    coloring: EdgeColoring | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        if fields[0] == "s":
+            if coloring is not None:
+                raise ParseError("duplicate 's' header", lineno)
+            if len(fields) != 5:
+                raise ParseError(
+                    "header must be 's <n> <m> <palette> <colors_used>'", lineno
+                )
+            n, m, palette, _used = (_int_field(f, lineno) for f in fields[1:])
+            if n != graph.n or m != graph.m:
+                raise DimensionMismatchError(
+                    f"coloring header n={n} m={m} does not match graph "
+                    f"n={graph.n} m={graph.m}"
+                )
+            if palette < 1:
+                raise ParseError("palette must be >= 1", lineno)
+            coloring = EdgeColoring(graph, palette)
+        elif fields[0] == "e":
+            if coloring is None:
+                raise ParseError("edge line before 's' header", lineno)
+            if len(fields) != 4:
+                raise ParseError("edge line must be 'e <u> <v> <color>'", lineno)
+            u, v, col = (_int_field(f, lineno) for f in fields[1:])
+            if not 1 <= u <= graph.n or not 1 <= v <= graph.n:
+                raise ParseError(f"vertex out of range 1..{graph.n}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            if col < 1:
+                raise ParseError("colors are 1-based and must be >= 1", lineno)
+            if coloring.color_of(u - 1, v - 1) is not None:
+                raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
+            coloring.assign(u - 1, v - 1, col - 1)
+        else:
+            raise ParseError(f"unknown line type {fields[0]!r}", lineno)
+    if coloring is None:
+        raise ParseError("missing 's' header")
+    return coloring

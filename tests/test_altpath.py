@@ -167,6 +167,11 @@ class TestMaximalPath:
         with pytest.raises(PreconditionError):
             maximal_path(C, None, 1, 0)  # colors must be real
 
+    def test_empty_path_rejected(self):
+        C = EdgeColoring(path_graph(3), 3)
+        with pytest.raises(PathInvariantError, match="empty"):
+            is_maximal_path(C, AltPath(0, 1, ()))
+
     def test_random_paths_valid_and_bounded(self):
         rng = random.Random(47)
         built = 0

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgcolor import (
+    AltPath,
     EdgeColoring,
     Graph,
+    Violation,
     complete_graph,
     format_coloring,
+    invert,
     mk_edge_coloring,
     parse_coloring,
     path_graph,
@@ -201,6 +204,17 @@ class TestIsProper:
         assert verdict.proper and verdict.complete and not verdict.bound_ok
         assert verdict.first_violation.kind == "bound"
         assert verdict.first_violation.colors == (5,)
+
+    @pytest.mark.parametrize("b", [1, 7], ids=["in palette", "beyond palette"])
+    def test_key_outside_the_vertex_range_is_a_non_edge(self, b):
+        # `invert` writes through the trusted `assign`, so a path vertex of
+        # -1 indexes rows from the end: row 0 gets key -1, row 2 key 0.
+        C = k3_coloring()
+        invert(C, AltPath(0, b, (0, -1)))
+        verdict = C.is_proper()
+        assert not verdict.proper
+        assert verdict.first_violation == Violation("non_edge", edge=(0, -1), colors=(b,))
+        assert verdict.bound_ok == (b < 3)
 
     def test_incomplete_reported(self):
         C = k3_coloring()

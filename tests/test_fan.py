@@ -121,6 +121,11 @@ class TestMaximalFan:
             with pytest.raises(VertexRangeError):
                 is_maximal_fan(C, fan)
 
+    def test_empty_fan_rejected(self):
+        C = EdgeColoring(complete_graph(3), 3)
+        with pytest.raises(FanInvariantError, match="empty"):
+            is_maximal_fan(C, Fan(0, ()))
+
     def test_candidate_scan_follows_adjacency_order(self):
         # Two admissible candidates; the one mentioned first in the input
         # edge list wins, so insertion order fully determines the fan.

@@ -66,6 +66,20 @@ class TestConstruction:
         with pytest.raises(VertexRangeError):
             Graph(3, [(-1, 0)])
 
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ([(0, 1), (1, 0), (0, 5)], DuplicateEdgeError(1, 0)),
+            ([(0, 1), (2, 2), (1, 0)], SelfLoopError(2)),
+            ([(0, 5), (0, 1), (0, 1)], VertexRangeError(5, 3)),
+            ([(0, 1), (1, 2), (-1, 0)], VertexRangeError(-1, 3)),
+        ],
+    )
+    def test_first_bad_edge_is_reported(self, edges, error):
+        with pytest.raises(type(error)) as info:
+            Graph(3, edges)
+        assert str(info.value) == str(error)
+
     def test_negative_n(self):
         with pytest.raises(BadParamsError):
             Graph(-1)

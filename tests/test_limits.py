@@ -79,3 +79,19 @@ def test_long_cycle(tmp_path):
     check = run_capped("check", gfile, cfile)
     assert check.returncode == 0, check.stderr
     assert check.stdout == "valid: proper complete colors_used=3 palette=3\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("p edge 1000000000 1\ne 1 1\n", id="self-loop on line 2"),
+        pytest.param("p edge 1000000000 2\ne 1 2\ne 2 1\n", id="duplicate on line 3"),
+    ],
+)
+def test_huge_header_bad_later_line_allocates_nothing_per_vertex(tmp_path, text):
+    # The graph is built only once every line is valid, so a bad line after
+    # a header declaring 10**9 vertices is a parse error, not a memory error.
+    gfile = write(tmp_path / "huge.gr", text)
+    stats = run_capped("stats", gfile)
+    assert stats.returncode == 2, stats.stderr
+    assert stats.stderr.startswith("error: line ")
