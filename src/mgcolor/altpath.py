@@ -5,9 +5,9 @@ distinct vertices whose consecutive edges are colored a, b, a, b, ...
 Inverting a maximal path swaps a and b along it, which keeps the coloring
 proper and swaps which of the two colors is free at x.
 
-`maximal_path` and `invert` check their call preconditions only;
-`extend_coloring(debug=True)` runs the path checkers on the paths it
-builds and inverts.
+`maximal_path` and `invert` check their call preconditions only (the walk
+is one trusted `EdgeColoring.kempe_walk`); `extend_coloring(debug=True)`
+runs the path checkers on the paths it builds and inverts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import Color, EdgeColoring
-from .errors import InvariantError, PathInvariantError, PreconditionError
+from .errors import PathInvariantError, PreconditionError
 from .graph import Edge
 
 
@@ -52,13 +52,13 @@ def check_path(coloring: EdgeColoring, path: AltPath) -> None:
 def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
     """Maximal alternating (a, b)-path starting at x; b must be free on x.
 
-    Extends [x] forward along the next color (a after an odd number of
-    vertices, b after an even one) until that color is free on the last
-    vertex. Properness allows one edge of each color at a vertex, so each
-    step has at most one candidate. Forward maximality is full maximality
-    here: b is free on x and properness allows at most one a-edge at x, and
-    that edge (when present) is the path's first step, so the path can
-    never be extended backwards either.
+    `EdgeColoring.kempe_walk` extends [x] along the next color (a after an
+    odd number of vertices, b after an even one) until it is free on the
+    last vertex. Properness allows one edge of each color at a vertex, so
+    each step has one candidate at most. Forward maximality is full
+    maximality here: b is free on x and properness allows at most one a-edge
+    at x, and that edge (when present) is the path's first step, so the
+    path can never be extended backwards either.
     """
     if a is None or b is None:
         raise PreconditionError("path colors must be real colors")
@@ -67,17 +67,7 @@ def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
     if not coloring.is_free(x, b):
         raise PreconditionError(f"color {b} must be free on start vertex {x}")
 
-    seq = [x]
-    on_path = {x}
-    while (z := coloring.neighbor(seq[-1], a if len(seq) % 2 else b)) is not None:
-        if z in on_path:
-            # Impossible while the coloring is proper; guard against loops.
-            raise InvariantError(
-                f"path extension revisited vertex {z}; coloring state is broken"
-            )
-        seq.append(z)
-        on_path.add(z)
-    return AltPath(a, b, tuple(seq))
+    return AltPath(a, b, coloring.kempe_walk(x, a, b))
 
 
 def is_maximal_path(coloring: EdgeColoring, path: AltPath) -> bool:

@@ -19,13 +19,14 @@ is needed (the invariant checkers treat colorings as values).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import (
     BadPaletteError,
     DimensionMismatchError,
     InvalidColorError,
+    InvariantError,
     NotAnEdgeError,
     ParseError,
     SelfLoopError,
@@ -129,30 +130,43 @@ class EdgeColoring:
             return z if z >= 0 else None
         return next((z for z, c in self._colors[v].items() if c == color), None)
 
-    def fan_candidate(self, x: int, w: int, candidates: list[int]) -> int | None:
-        """First z of `candidates` whose edge {x, z} has a color free on w.
-
-        None when there is none; uncolored edges never qualify. This is the
-        test that extends a fan around x whose last vertex is w.
-        """
-        colors = self._colors[x]
-        row = self._nbr[w]
-        width = len(row)
-        for z in candidates:
-            c = colors.get(z)
-            if c is not None and (
-                row[c] < 0 if 0 <= c < width else self.neighbor(w, c) is None
-            ):
-                return z
-        return None
+    def fan_extension(self, x: int, w: int, candidates: Iterable[int]) -> list[int]:
+        """The vertices a fan around x with last vertex w grows by, in order:
+        each is the first unused z of `candidates` whose edge {x, z} has a
+        color free on the fan's last vertex so far. Trusted, read-only."""
+        colors, nbr = self._colors[x], self._nbr
+        nx = nbr[x]
+        out: list[int] = []
+        if len(colors) + nx.count(-1) != len(nx):
+            # Some color at x lies beyond the table, or repeats: ask the edges.
+            zs = [z for z in candidates if z in colors]
+            while True:
+                w = next((z for z in zs if self.neighbor(w, colors[z]) is None), None)
+                if w is None:
+                    return out
+                zs.remove(w)
+                out.append(w)
+        # Each color at x has a slot of its own, naming the edge it is on.
+        cs = [colors[z] for z in candidates if z in colors]
+        while True:
+            row = nbr[w]
+            for c in cs:
+                if row[c] < 0:
+                    break
+            else:
+                return out
+            cs.remove(c)
+            w = nx[c]
+            out.append(w)
 
     def min_free_color(self, v: int) -> int:
         """Smallest free color on v; the deterministic 'choose a free color'."""
         row = self._nbr[v]
-        if -1 in row:
+        try:
             return row.index(-1)
+        except ValueError:  # every color of the table is used on v
+            a = len(row)
         used = set(self._colors[v].values())
-        a = len(row)
         while a in used:
             a += 1
         if a < self.palette:
@@ -258,6 +272,48 @@ class EdgeColoring:
                 nv[color] = u
             self._colored += 1
         return old
+
+    def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
+        """Trusted rotation around x: {x, seq[i]} takes the color of
+        {x, seq[i + 1]} and {x, seq[-1]} takes `color`. One pass from the
+        back, with `assign`'s effect on each edge in turn."""
+        colors, nbr = self._colors, self._nbr
+        cx, nx = colors[x], nbr[x]
+        width = len(nx)
+        carry = color
+        for f in reversed(seq):
+            nf = nbr[f]
+            old = cx.pop(f, None)
+            if old is not None:
+                del colors[f][x]
+                if 0 <= old < width:
+                    if nx[old] == f:
+                        nx[old] = -1
+                    if nf[old] == x:
+                        nf[old] = -1
+            if carry is not None:
+                cx[f] = colors[f][x] = carry
+                if 0 <= carry < width:
+                    nx[carry] = f
+                    nf[carry] = x
+            carry = old
+        # Each edge takes the color the next one gave up: the sum telescopes.
+        self._colored += (color is not None) - (carry is not None)
+
+    def kempe_walk(self, x: int, a: int, b: int) -> tuple[int, ...]:
+        """The alternating path from x along a, b, a, ... to the first vertex
+        where the next color is free. Trusted: b free on x is the caller's."""
+        nbr = self._nbr
+        table = 0 <= a < len(nbr[x]) and 0 <= b < len(nbr[x])
+        path = {x: None}  # the vertices in order, with O(1) membership
+        while (z := nbr[x][a] if table else self.neighbor(x, a)) is not None and z >= 0:
+            if z in path:  # impossible while the coloring is proper
+                raise InvariantError(
+                    f"path extension revisited vertex {z}; coloring state is broken"
+                )
+            path[z] = None
+            x, a, b = z, b, a
+        return tuple(path)
 
     def _store(self, u: int, v: int, color: Color) -> None:
         """`assign`, then re-point the table at any other edge still

@@ -6,9 +6,9 @@ is free on f_i. Rotating shifts each fan edge's color onto its predecessor
 and gives the last fan edge a new color, which provably keeps the coloring
 proper.
 
-`maximal_fan` and `rotate_fan` check their call preconditions only;
-`extend_coloring(debug=True)` runs `check_fan` and `is_maximal_fan` on the
-fans it builds and rotates.
+`maximal_fan` and `rotate_fan` check their call preconditions, then make
+one trusted `EdgeColoring` call; `extend_coloring(debug=True)` runs
+`check_fan` and `is_maximal_fan` on the fans it builds and rotates.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ class Fan(NamedTuple):
 def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
     """Greedy maximal fan around x starting at y; {x, y} must be uncolored.
 
-    Repeatedly scans the not-yet-used neighbors of x in adjacency order and
-    appends the first z whose edge color is free on the current last fan
-    vertex (`EdgeColoring.fan_candidate`). Uncolored edges never qualify (no
-    color is not a free color), so the loop runs at most degree(x) times.
+    `EdgeColoring.fan_extension` scans the neighbors of x in adjacency order
+    and appends the first unused z whose edge color is free on the last fan
+    vertex, until none is; uncolored edges, {x, y} among them, never do.
     """
     g = coloring.graph
     if not g.has_edge(x, y):
@@ -49,12 +48,7 @@ def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
     if coloring.color_of(x, y) is not None:
         raise EdgeAlreadyColoredError(f"edge ({x}, {y}) is already colored")
 
-    seq = [y]
-    remaining = [z for z in g.adj[x] if z != y]
-    while (z := coloring.fan_candidate(x, seq[-1], remaining)) is not None:
-        seq.append(z)
-        remaining.remove(z)
-    return Fan(x, tuple(seq))
+    return Fan(x, (y, *coloring.fan_extension(x, y, g.adj[x])))
 
 
 def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
@@ -92,15 +86,15 @@ def is_maximal_fan(coloring: EdgeColoring, fan: Fan) -> bool:
             raise VertexRangeError(v, n)
     members = set(fan.seq)
     outside = [z for z in coloring.graph.adj[x] if z not in members]
-    return coloring.fan_candidate(x, fan.last(), outside) is None
+    return not coloring.fan_extension(x, fan.last(), outside)
 
 
 def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
     """Rotate the fan and color its last edge with `color`. In place.
 
     Each edge {x, f_i} (i < k) receives the old color of {x, f_(i+1)} and
-    {x, f_k} receives `color`, which must be valid for it. Each edge is
-    written once, through the trusted `assign`, from the back, so every
+    {x, f_k} receives `color`, which must be valid for it. The trusted
+    `EdgeColoring.shift_fan` writes each edge once, from the back, so every
     intermediate state is proper: the displaced color has just been removed
     from x's edges and is free on the predecessor by the fan property. Only
     the uncolored first edge is checked; the fan and the color are the
@@ -114,6 +108,4 @@ def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
         raise PreconditionError(
             f"first fan edge ({x}, {seq[0]}) must be uncolored before rotation"
         )
-    carry = color
-    for f in reversed(seq):
-        carry = coloring.assign(x, f, carry)
+    coloring.shift_fan(x, seq, color)

@@ -167,13 +167,8 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         raise BadParamsError(f"gnp needs n >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise BadParamsError(f"gnp needs 0 <= p <= 1, got {p}")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
+    rand = random.Random(seed).random
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
     return Graph(n, edges)
 
 

@@ -100,8 +100,8 @@ def extend_coloring(
     rotation. The building blocks check nothing themselves. Properness is
     checked on the rows the step wrote, and pending edges against the fan
     and path edges it wrote, which keeps a debug step at about the cost of
-    the step. A write made around `assign` escapes these; one more full
-    `is_proper` after the last step reports it.
+    the step. A write off the step's fan and path edges escapes these; one
+    more full `is_proper` after the last step reports it.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:

@@ -6,7 +6,11 @@ rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
 with. `reference_parse_dimacs` and `reference_parse_coloring` are the
 line-by-line parsers the single-pass library parsers must agree with on
-every text, errors included. `free_colors_on` lists a vertex's free
+every text, errors included. `reference_maximal_fan`,
+`reference_rotate_fan` and `reference_maximal_path` are the building
+blocks as they were before each became one `EdgeColoring` kernel call: one
+first-match scan per fan extension, one `assign` per rotated edge, one
+`neighbor` lookup per path vertex. `free_colors_on` lists a vertex's free
 colors through the public `is_free`. The building blocks check nothing
 themselves, so the `checked_*` wrappers run the lemma checkers around each
 one, as `extend_coloring(debug=True)` does.
@@ -34,7 +38,14 @@ from mgcolor import (
     maximal_path,
     rotate_fan,
 )
-from mgcolor.errors import DimensionMismatchError, ParseError
+from mgcolor.errors import (
+    DimensionMismatchError,
+    EdgeAlreadyColoredError,
+    InvariantError,
+    NotAnEdgeError,
+    ParseError,
+    PreconditionError,
+)
 from mgcolor.graph import _int_field
 
 
@@ -287,3 +298,66 @@ def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     if coloring is None:
         raise ParseError("missing 's' header")
     return coloring
+
+
+def reference_maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
+    """Reference `maximal_fan`: each extension scans the unused neighbors
+    of x in adjacency order for the first whose edge color is free on the
+    last fan vertex, and removes the one it appends."""
+    g = coloring.graph
+    if not g.has_edge(x, y):
+        raise NotAnEdgeError(x, y)
+    if coloring.color_of(x, y) is not None:
+        raise EdgeAlreadyColoredError(f"edge ({x}, {y}) is already colored")
+    seq = [y]
+    remaining = [z for z in g.adj[x] if z != y]
+    while (z := reference_fan_candidate(coloring, x, seq[-1], remaining)) is not None:
+        seq.append(z)
+        remaining.remove(z)
+    return Fan(x, tuple(seq))
+
+
+def reference_fan_candidate(
+    coloring: EdgeColoring, x: int, w: int, candidates: list[int]
+) -> int | None:
+    """First z of `candidates` whose edge {x, z} has a color free on w."""
+    for z in candidates:
+        c = coloring.color_of(x, z)
+        if c is not None and coloring.neighbor(w, c) is None:
+            return z
+    return None
+
+
+def reference_rotate_fan(coloring: EdgeColoring, fan: Fan, color: int | None) -> None:
+    """Reference `rotate_fan`: one trusted `assign` per edge, from the back."""
+    x = fan.center
+    seq = fan.seq
+    if not seq:
+        raise PreconditionError("cannot rotate an empty fan")
+    if coloring.color_of(x, seq[0]) is not None:
+        raise PreconditionError(
+            f"first fan edge ({x}, {seq[0]}) must be uncolored before rotation"
+        )
+    carry = color
+    for f in reversed(seq):
+        carry = coloring.assign(x, f, carry)
+
+
+def reference_maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
+    """Reference `maximal_path`: one `neighbor` lookup per path vertex."""
+    if a is None or b is None:
+        raise PreconditionError("path colors must be real colors")
+    if a == b:
+        raise PreconditionError(f"path colors must differ, got {a} twice")
+    if not coloring.is_free(x, b):
+        raise PreconditionError(f"color {b} must be free on start vertex {x}")
+    seq = [x]
+    on_path = {x}
+    while (z := coloring.neighbor(seq[-1], a if len(seq) % 2 else b)) is not None:
+        if z in on_path:
+            raise InvariantError(
+                f"path extension revisited vertex {z}; coloring state is broken"
+            )
+        seq.append(z)
+        on_path.add(z)
+    return AltPath(a, b, tuple(seq))

@@ -87,3 +87,34 @@ def test_trace_targets_resolve():
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(attr)), label
+
+
+def test_the_loop_calls_each_building_block_by_its_bound_name(monkeypatch):
+    # The tracer times a block by wrapping the name `vizing` binds; a loop
+    # that stopped calling a name would zero that block's metrics silently.
+    from mgcolor import EdgeColoring, gnp_graph, mk_edge_coloring, vizing
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("maximal_fan", "rotate_fan", "maximal_path", "find_subfan", "invert"):
+        monkeypatch.setattr(vizing, name, counted(name, getattr(vizing, name)))
+    monkeypatch.setattr(EdgeColoring, "min_free_color",
+                        counted("min_free_color", EdgeColoring.min_free_color))
+    g = gnp_graph(120, 0.1, seed=1)
+    mk_edge_coloring(g)
+    steps, inversions = 727, 659
+    assert g.m == steps
+    assert calls == {
+        "maximal_fan": steps,
+        "rotate_fan": steps,
+        "maximal_path": inversions,
+        "find_subfan": inversions,
+        "invert": inversions,
+        "min_free_color": 2 * steps,
+    }

@@ -308,7 +308,8 @@ def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
         expect = next(
             (z for z in range(n) if C.color_of(v, z) not in at_0 | {None}), None
         )
-        assert C.fan_candidate(v, 0, list(range(n))) == expect
+        grown = C.fan_extension(v, 0, list(range(n)))
+        assert (grown[0] if grown else None) == expect
 
 
 def _colors_at(C: EdgeColoring, v: int) -> set[int]:

@@ -55,6 +55,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     C = rand_proper_coloring(rng, g)
     edges = uncolored_edges(C)
     real_assign = EdgeColoring.assign
+    real_shift_fan = EdgeColoring.shift_fan
     real_violation_at = EdgeColoring.violation_at
     written: set[int] = set()
     calls = 0
@@ -63,6 +64,11 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     def assign(self, u, v, color):
         written.update((u, v))
         return real_assign(self, u, v, color)
+
+    def shift_fan(self, x, seq, color):
+        # A rotation writes rows x and seq without going through `assign`.
+        written.update((x, *seq))
+        return real_shift_fan(self, x, seq, color)
 
     def violation_at(self, vertices):
         nonlocal calls, injected
@@ -84,6 +90,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
         return local
 
     with mock.patch.object(EdgeColoring, "assign", assign), \
+            mock.patch.object(EdgeColoring, "shift_fan", shift_fan), \
             mock.patch.object(EdgeColoring, "violation_at", violation_at):
         try:
             extend_coloring(C, edges, debug=True)

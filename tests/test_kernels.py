@@ -1,0 +1,166 @@
+"""The one-pass `EdgeColoring` kernels against the per-edge building blocks.
+
+`maximal_fan`, `is_maximal_fan`, `rotate_fan` and `maximal_path` each make
+one kernel call (`fan_extension`, `shift_fan`, `kempe_walk`). On every
+state they must do what the reference blocks in `tests.helpers` do: return
+the same fan, verdict or path, or raise the same error, and leave the same
+coloring behind. States include proper ones with palettes above Δ+1 that
+use colors beyond the table, and improper ones written with the unchecked
+setter. Rows are compared as neighbor→color maps: the order of a row's
+keys is not behaviour.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mgcolor import (
+    EdgeColoring,
+    Fan,
+    Graph,
+    gnp_graph,
+    is_maximal_fan,
+    maximal_fan,
+    maximal_path,
+    rotate_fan,
+    star_graph,
+)
+from mgcolor.errors import InvariantError
+from tests.helpers import (
+    rand_proper_coloring,
+    reference_fan_candidate,
+    reference_maximal_fan,
+    reference_maximal_path,
+    reference_rotate_fan,
+)
+from tests.test_coloring import unchecked_states, verdict_states
+
+
+@st.composite
+def wide_palette_states(draw):
+    # Reachable states whose palette may exceed Δ+1, so that colors beyond
+    # the table (which stops at Δ+1) appear on edges.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, p = draw(st.integers(2, 8)), rng.choice([0.35, 0.6, 0.9])
+    g = gnp_graph(n, p, rng.randrange(2**63))
+    return rand_proper_coloring(rng, g, g.max_degree() + 1 + draw(st.integers(0, 3)))
+
+
+states = st.one_of(wide_palette_states(), unchecked_states(), verdict_states())
+
+
+def outcome(block, C: EdgeColoring, *args):
+    """What `block` returns or raises on a copy of C, and the state after."""
+    C = C.copy()
+    try:
+        result = block(C, *args)
+    except Exception as exc:  # compared by class and message
+        result = (type(exc), str(exc))
+    return result, [dict(row) for row in C._colors], C._nbr, C.count_colored()
+
+
+def assert_same(block, reference, C: EdgeColoring, *args):
+    assert outcome(block, C, *args) == outcome(reference, C, *args)
+
+
+def draw_fan(data, C: EdgeColoring) -> Fan:
+    """A fan as the loop builds it (maybe cut to a prefix), or any sequence."""
+    n = C.graph.n
+    x = data.draw(st.integers(0, n - 1))
+    uncolored = [z for z in C.graph.adj[x] if C.color_of(x, z) is None]
+    if uncolored and data.draw(st.booleans()):
+        seq = reference_maximal_fan(C, x, data.draw(st.sampled_from(uncolored))).seq
+        return Fan(x, seq[: data.draw(st.integers(1, len(seq)))])
+    others = [v for v in range(n) if v != x]
+    seq = data.draw(st.lists(st.sampled_from(others), max_size=4))
+    free = [v for v in others if C.color_of(x, v) is None]
+    if free and data.draw(st.booleans()):
+        # An uncolored first edge meets rotate_fan's precondition.
+        seq = [data.draw(st.sampled_from(free)), *seq]
+    return Fan(x, tuple(seq))
+
+
+def colors_for(data, C: EdgeColoring, v: int):
+    """Mostly colors at v or just outside the table, sometimes None."""
+    pool = sorted({*C._colors[v].values(), -1, 0, 1, C.palette, C.palette + 1})
+    return data.draw(st.one_of(st.sampled_from(pool), st.none()))
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_maximal_fan_matches_the_reference(C, data):
+    n = C.graph.n
+    x = data.draw(st.integers(0, n - 1))
+    # Mostly a neighbor of x; any vertex also reaches the precondition errors.
+    near = st.sampled_from(C.graph.adj[x] or [x])
+    y = data.draw(st.one_of(near, st.integers(0, n - 1)))
+    assert_same(maximal_fan, reference_maximal_fan, C, x, y)
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_maximal_fan_matches_the_reference(C, data):
+    fan = draw_fan(data, C)
+    if fan.seq:
+        members = set(fan.seq)
+        outside = [z for z in C.graph.adj[fan.center] if z not in members]
+        expect = reference_fan_candidate(C, fan.center, fan.last(), outside) is None
+        assert is_maximal_fan(C, fan) == expect
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_rotate_fan_matches_the_reference(C, data):
+    fan = draw_fan(data, C)
+    color = colors_for(data, C, fan.center)
+    assert_same(rotate_fan, reference_rotate_fan, C, fan, color)
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_maximal_path_matches_the_reference(C, data):
+    x = data.draw(st.integers(0, C.graph.n - 1))
+    a, b = colors_for(data, C, x), colors_for(data, C, x)
+    assert_same(maximal_path, reference_maximal_path, C, a, b, x)
+
+
+def test_kernels_read_colors_beyond_the_table():
+    # Δ = 3, so the table holds colors 0..3; the star's edges carry 5, 6, 7.
+    C = EdgeColoring(star_graph(4), 9)
+    for leaf, color in ((2, 5), (3, 6), (4, 7)):
+        C.set_edge_color(0, leaf, color)
+    assert maximal_fan(C, 0, 1) == Fan(0, (1, 2, 3, 4))
+    assert_same(maximal_fan, reference_maximal_fan, C, 0, 1)
+    assert is_maximal_fan(C, Fan(0, (1, 2, 3, 4)))
+    assert not is_maximal_fan(C, Fan(0, (1, 2)))
+    for a, b in ((5, 0), (0, 5), (6, 7)):
+        assert_same(maximal_path, reference_maximal_path, C, a, b, 1)
+    for color in (8, 1):
+        assert_same(rotate_fan, reference_rotate_fan, C, Fan(0, (1, 2, 3, 4)), color)
+
+
+def test_a_revisited_vertex_is_reported_by_both():
+    # Improper: two edges of color 0 at vertex 0 close a 0, 1 cycle.
+    C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
+    for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 0)):
+        C.set_edge_color_unchecked(u, v, color)
+    got = outcome(maximal_path, C, 0, 1, 0)
+    assert got == outcome(reference_maximal_path, C, 0, 1, 0)
+    assert got[0] == (
+        InvariantError, "path extension revisited vertex 0; coloring state is broken"
+    )
+
+
+def test_rotation_keeps_a_slot_that_names_another_edge():
+    # Improper at fan vertex 2: {0, 2} and {2, 3} both have color 0, and
+    # 2's slot for 0 names 3. Rotating {0, 2} away from 0 must keep it.
+    C = EdgeColoring(Graph(4, [(0, 1), (0, 2), (2, 3)]), 3)
+    C.set_edge_color_unchecked(0, 2, 0)
+    C.set_edge_color_unchecked(2, 3, 0)
+    fan = Fan(0, (1, 2))
+    got = outcome(rotate_fan, C, fan, 1)
+    assert got == outcome(reference_rotate_fan, C, fan, 1)
+    assert got[2][2][0] == 3
