@@ -11,7 +11,8 @@ contract for harnesses:
      to stderr
 
 `color` reads its input, then opens `-o` and `--trace` before coloring, so
-a bad path exits 2 at once; the trace is written one JSON line per step.
+a bad path exits 2 at once; the trace is written one JSON line per step,
+and the coloring streams to its file as `format_coloring` produces it.
 `-o` and `--trace` naming the same file (after resolving the path) exits 2
 before coloring.
 
@@ -91,7 +92,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         coloring = mk_edge_coloring(g, debug=args.debug_checks, on_step=on_step)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        out.write(format_coloring(coloring))
+        format_coloring(coloring, out)
     summary = (
         f"{g.n} {g.m} {g.max_degree()} {coloring.palette} "
         f"{coloring.colors_used()} {elapsed_ms:.2f}"

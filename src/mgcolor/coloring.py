@@ -20,7 +20,7 @@ is needed (the invariant checkers treat colorings as values).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .errors import (
     BadPaletteError,
@@ -441,18 +441,25 @@ class EdgeColoring:
         return f"EdgeColoring(n={n}, palette={palette}, colored={colored})"
 
 
-def format_coloring(coloring: EdgeColoring) -> str:
+def format_coloring(coloring: EdgeColoring, out: TextIO | None = None) -> str | None:
     """Serialize a coloring: `s <n> <m> <palette> <colors_used>` header, then
     one `e <u> <v> <color>` line per colored edge (all fields 1-based),
-    canonical edge order, uncolored edges omitted."""
+    canonical edge order, uncolored edges omitted.
+
+    Returns the text, or with `out` writes it there one vertex's lines at a
+    time, so the whole text is never held, and returns None."""
     g = coloring.graph
-    colors = coloring._colors
-    lines = [f"s {g.n} {g.m} {coloring.palette} {coloring.colors_used()}"]
-    for u, v in g.edge_set():
-        col = colors[u].get(v)
-        if col is not None:
-            lines.append(f"e {u + 1} {v + 1} {col + 1}")
-    return "\n".join(lines) + "\n"
+    header = f"s {g.n} {g.m} {coloring.palette} {coloring.colors_used()}\n"
+    chunks = (
+        "".join(f"e {u + 1} {v + 1} {c + 1}\n" for v in nbrs
+                if v > u and (c := row.get(v)) is not None)
+        for u, (nbrs, row) in enumerate(zip(g.adj, coloring._colors))
+    )
+    if out is None:
+        return header + "".join(chunks)
+    out.write(header)
+    out.writelines(chunks)
+    return None
 
 
 def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
@@ -491,10 +498,11 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             if col < 1:
                 raise ParseError("colors are 1-based and must be >= 1", lineno)
-            if v - 1 in rows[u - 1]:
+            x, y = ids[u - 1], ids[v - 1]
+            if y in rows[x]:
                 raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
             # Each edge is written once, so the trusted write replaces nothing.
-            assign(u - 1, v - 1, col - 1)
+            assign(x, y, col - 1)
         elif tag[0] == "c":
             continue
         elif tag == "s":
@@ -514,6 +522,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
                 raise ParseError("palette must be >= 1", lineno)
             coloring = EdgeColoring(graph, palette)
             rows, assign = coloring._colors, coloring.assign
+            ids = list(range(n))  # one int object per vertex, as in `Graph`
         else:
             raise ParseError(f"unknown line type {tag!r}", lineno)
     if coloring is None:

@@ -60,10 +60,13 @@ class Graph:
         return g
 
     def _build(self, n: int, edges: list[Edge]) -> None:
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # Only ints up to 256 are cached, so each parsed or computed endpoint
+        # is an object of its own; storing ids[v] keeps one object per vertex.
+        ids = list(range(n))
+        adj: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj[u].append(ids[v])
+            adj[v].append(ids[u])
         self.n = n
         self.m = len(edges)
         self.adj = adj

@@ -6,7 +6,9 @@ rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
 with. `reference_parse_dimacs` and `reference_parse_coloring` are the
 line-by-line parsers the single-pass library parsers must agree with on
-every text, errors included. `reference_maximal_fan`,
+every text, errors included; `reference_format_coloring` is the formatter
+that builds every line before joining them, whose bytes `format_coloring`
+must match in both its forms. `reference_maximal_fan`,
 `reference_rotate_fan` and `reference_maximal_path` are the building
 blocks as they were before each became one `EdgeColoring` kernel call: one
 first-match scan per fan extension, one `assign` per rotated edge, one
@@ -298,6 +300,17 @@ def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     if coloring is None:
         raise ParseError("missing 's' header")
     return coloring
+
+
+def reference_format_coloring(coloring: EdgeColoring) -> str:
+    """One line per colored graph edge in `edge_set()` order, joined."""
+    lines = [f"s {coloring.graph.n} {coloring.graph.m} {coloring.palette} "
+             f"{coloring.colors_used()}"]
+    for u, v in coloring.graph.edge_set():
+        col = coloring.color_of(u, v)
+        if col is not None:
+            lines.append(f"e {u + 1} {v + 1} {col + 1}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:

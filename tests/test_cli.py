@@ -19,8 +19,10 @@ from mgcolor import (
     Violation,
     complete_graph,
     cycle_graph,
+    format_coloring,
     format_dimacs,
     gnp_graph,
+    mk_edge_coloring,
     parse_dimacs,
     petersen_graph,
 )
@@ -133,6 +135,41 @@ class TestColor:
         plain = peak(["color", gfile, "-o", out])
         traced = peak(["color", gfile, "-o", out, "--trace", tr])
         assert traced <= 1.25 * plain, (traced, plain)
+
+    def test_output_streams_without_holding_a_copy(self, tmp_path, monkeypatch):
+        # Once the coloring is done, `-o` gets it one vertex's lines at a
+        # time: writing adds no list of lines or joined text to what the
+        # graph and its coloring hold. Holding the text reads about 1.07 here.
+        gfile = write(tmp_path / "g.gr", format_dimacs(gnp_graph(1000, 0.02, 3)))
+        held = []
+
+        def colored(*args, **kwargs):
+            coloring = mk_edge_coloring(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return coloring
+
+        monkeypatch.setattr(cli, "mk_edge_coloring", colored)
+        tracemalloc.start()
+        try:
+            assert main(["color", gfile, "-o", str(tmp_path / "g.col")]) == 0
+            writing = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert writing <= 1.03 * held[0], (writing, held)
+
+    @pytest.mark.parametrize(
+        "text", ["p edge 0 0\n", "p edge 3 0\n", "p edge 7 3\ne 2 6\ne 6 4\ne 4 2\n"]
+    )
+    def test_streamed_output_is_the_string_form(self, tmp_path, capsys, text):
+        gfile = write(tmp_path / "g.gr", text)
+        expect = format_coloring(mk_edge_coloring(parse_dimacs(text)))
+        out = tmp_path / "g.col"
+        assert main(["color", gfile, "-o", str(out)]) == 0
+        assert out.read_bytes() == expect.encode()
+        capsys.readouterr()
+        assert main(["color", gfile]) == 0
+        assert capsys.readouterr().out == expect
 
     def test_debug_checks_same_output(self, tmp_path, k3_file):
         a = tmp_path / "a.col"

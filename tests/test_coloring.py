@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from mgcolor import (
     Violation,
     complete_graph,
     format_coloring,
+    gnp_graph,
     invert,
     mk_edge_coloring,
     parse_coloring,
@@ -34,6 +36,7 @@ from tests.helpers import (
     ordered_verdict,
     rand_graph,
     rand_proper_coloring,
+    reference_format_coloring,
 )
 
 
@@ -371,6 +374,15 @@ def test_is_proper_matches_the_ordered_scan(C: EdgeColoring):
     assert C.is_proper() == ordered_verdict(C)
 
 
+@given(st.one_of(coloring_states(), verdict_states(), unchecked_states()))
+@settings(max_examples=300)
+def test_streamed_and_string_forms_match_the_reference(C: EdgeColoring):
+    # Partial states, colored non-edges, colors -1 and beyond the palette.
+    buf = io.StringIO()
+    assert format_coloring(C, buf) is None
+    assert buf.getvalue() == format_coloring(C) == reference_format_coloring(C)
+
+
 def test_lookups_survive_removing_one_of_two_equal_colors():
     C = EdgeColoring(Graph(3, [(0, 1), (0, 2)]), 3)
     C.set_edge_color_unchecked(0, 1, 0)
@@ -440,6 +452,11 @@ class TestColoringFormat:
             C2 = parse_coloring(g, text)
             assert C2 == C
             assert format_coloring(C2) == text
+
+    def test_rows_share_one_int_object_per_vertex(self):
+        g = gnp_graph(600, 0.02, 5)
+        C = parse_coloring(g, format_coloring(mk_edge_coloring(g)))
+        assert len({id(v) for row in C._colors for v in row}) <= g.n
 
     def test_header_shape(self):
         C = mk_edge_coloring(complete_graph(3))

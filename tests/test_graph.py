@@ -192,6 +192,25 @@ def test_handshake_and_rebuild(g: Graph):
     assert rebuilt == g
 
 
+class TestSharedIds:
+    """Ints above 256 are not cached, so each endpoint parsed or computed
+    per edge is an object of its own; the adjacency keeps one per vertex."""
+
+    @staticmethod
+    def distinct_ids(g: Graph) -> int:
+        return len({id(v) for row in g.adj for v in row})
+
+    def test_constructor(self):
+        n = 600
+        g = Graph(n, [(u, (u + k) % n) for k in (1, 7) for u in range(n)])
+        assert self.distinct_ids(g) <= g.n
+
+    def test_parse_dimacs_and_gnp(self):
+        g = gnp_graph(600, 0.02, 5)
+        assert self.distinct_ids(g) <= g.n
+        assert self.distinct_ids(parse_dimacs(format_dimacs(g))) <= g.n
+
+
 class TestDimacs:
     def test_round_trip_fixpoint(self):
         rng = random.Random(7)
