@@ -247,55 +247,55 @@ class EdgeColoring:
         For the coloring loop. Nothing is validated: the caller has proved
         that {u, v} is an edge and `color` is None or free on both endpoints
         (or will be after the next write of a Kempe-chain swap). Library
-        callers want `set_edge_color`.
+        callers want `set_edge_color`. A recolored edge is overwritten in
+        place, so only uncoloring leaves a deleted slot in the edge maps.
         """
         cu = self._colors[u]
         cv = self._colors[v]
         nu = self._nbr[u]
         nv = self._nbr[v]
-        width = len(nu)
-        old = cu.pop(v, None)
-        if old is not None:
-            del cv[u]
-            # Within a swap the slot may already name the edge that now
-            # carries `old`; only clear a slot that still names this edge.
-            if 0 <= old < width:
-                if nu[old] == v:
-                    nu[old] = -1
-                if nv[old] == u:
-                    nv[old] = -1
-            self._colored -= 1
+        old = cu.get(v)
+        # Within a swap the slot may already name the edge that now carries
+        # `old`; only clear a slot that still names this edge.
+        if old is not None and 0 <= old < len(nu):
+            if nu[old] == v:
+                nu[old] = -1
+            if nv[old] == u:
+                nv[old] = -1
         if color is not None:
             cu[v] = cv[u] = color
-            if 0 <= color < width:
+            if 0 <= color < len(nu):
                 nu[color] = v
                 nv[color] = u
-            self._colored += 1
+            self._colored += old is None
+        elif old is not None:
+            del cu[v], cv[u]
+            self._colored -= 1
         return old
 
     def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
         """Trusted rotation around x: {x, seq[i]} takes the color of
         {x, seq[i + 1]} and {x, seq[-1]} takes `color`. One pass from the
-        back, with `assign`'s effect on each edge in turn."""
+        back, with `assign`'s in-place effect on each edge in turn."""
         colors, nbr = self._colors, self._nbr
         cx, nx = colors[x], nbr[x]
         width = len(nx)
         carry = color
         for f in reversed(seq):
             nf = nbr[f]
-            old = cx.pop(f, None)
-            if old is not None:
-                del colors[f][x]
-                if 0 <= old < width:
-                    if nx[old] == f:
-                        nx[old] = -1
-                    if nf[old] == x:
-                        nf[old] = -1
+            old = cx.get(f)
+            if old is not None and 0 <= old < width:
+                if nx[old] == f:
+                    nx[old] = -1
+                if nf[old] == x:
+                    nf[old] = -1
             if carry is not None:
                 cx[f] = colors[f][x] = carry
                 if 0 <= carry < width:
                     nx[carry] = f
                     nf[carry] = x
+            elif old is not None:
+                del cx[f], colors[f][x]
             carry = old
         # Each edge takes the color the next one gave up: the sum telescopes.
         self._colored += (color is not None) - (carry is not None)
@@ -354,13 +354,13 @@ class EdgeColoring:
         g = self.graph
         n, c = g.n, self.palette
         rows = self._colors
-        adj, adj_sets = g.adj, g._adj_sets
+        adj, index = g.adj, g._adj_index
         non_edge = duplicate = bound = incomplete = None
         seen_colors: set[int] = set()
         for u, row in enumerate(rows):
             used = set(row.values())
             seen_colors |= used
-            on_edges = row.keys() <= adj_sets[u]
+            on_edges = row.keys() <= index[u].keys()
             if incomplete is None and not (on_edges and len(row) == len(adj[u])):
                 v = next((v for v in adj[u] if v > u and v not in row), None)
                 if v is not None:
@@ -377,7 +377,7 @@ class EdgeColoring:
                 row_seen.add(x)
                 # A non-edge is reported from its lower row; a key outside
                 # [0, n) has no row of its own, so it is reported from here.
-                if non_edge is None and v not in adj_sets[u] and (v > u or not 0 <= v < n):
+                if non_edge is None and v not in index[u] and (v > u or not 0 <= v < n):
                     non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
         if seen_colors and not (min(seen_colors) >= 0 and max(seen_colors) < c):
             # Both orientations are stored, so some (u, v > u) carries it,
@@ -406,10 +406,10 @@ class EdgeColoring:
         full scan runs, and its first violation is returned.
         """
         rows = self._colors
-        adj_sets = self.graph._adj_sets
+        index = self.graph._adj_index
         for u in vertices:
             row = rows[u]
-            if not (row.keys() <= adj_sets[u] and len(set(row.values())) == len(row)):
+            if not (row.keys() <= index[u].keys() and len(set(row.values())) == len(row)):
                 verdict = self.is_proper()
                 return None if verdict.proper else verdict.first_violation
         return None

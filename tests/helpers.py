@@ -12,7 +12,9 @@ must match in both its forms. `reference_maximal_fan`,
 `reference_rotate_fan` and `reference_maximal_path` are the building
 blocks as they were before each became one `EdgeColoring` kernel call: one
 first-match scan per fan extension, one `assign` per rotated edge, one
-`neighbor` lookup per path vertex. `free_colors_on` lists a vertex's free
+`neighbor` lookup per path vertex. `reference_assign` pops the edge and
+inserts it again with its new color; `assign` and `shift_fan`, which write
+in place, must leave the same state. `free_colors_on` lists a vertex's free
 colors through the public `is_free`. The building blocks check nothing
 themselves, so the `checked_*` wrappers run the lemma checkers around each
 one, as `extend_coloring(debug=True)` does.
@@ -354,6 +356,31 @@ def reference_rotate_fan(coloring: EdgeColoring, fan: Fan, color: int | None) ->
     carry = color
     for f in reversed(seq):
         carry = coloring.assign(x, f, carry)
+
+
+def reference_assign(
+    coloring: EdgeColoring, u: int, v: int, color: int | None
+) -> int | None:
+    """Reference `assign`: pop {u, v} from both edge maps, clear the table
+    slots that still name it, then insert it again when `color` is not None."""
+    cu, cv = coloring._colors[u], coloring._colors[v]
+    nu, nv = coloring._nbr[u], coloring._nbr[v]
+    old = cu.pop(v, None)
+    if old is not None:
+        del cv[u]
+        if 0 <= old < len(nu):
+            if nu[old] == v:
+                nu[old] = -1
+            if nv[old] == u:
+                nv[old] = -1
+        coloring._colored -= 1
+    if color is not None:
+        cu[v] = cv[u] = color
+        if 0 <= color < len(nu):
+            nu[color] = v
+            nv[color] = u
+        coloring._colored += 1
+    return old
 
 
 def reference_maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:

@@ -7,7 +7,9 @@ the same fan, verdict or path, or raise the same error, and leave the same
 coloring behind. States include proper ones with palettes above Δ+1 that
 use colors beyond the table, and improper ones written with the unchecked
 setter. Rows are compared as neighbor→color maps: the order of a row's
-keys is not behaviour.
+keys is not behaviour. The trusted writes `assign` and `shift_fan`, which
+overwrite a recolored edge in place, are held to `reference_assign`, which
+pops it and inserts it again, on the same states.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from mgcolor import (
 from mgcolor.errors import InvariantError
 from tests.helpers import (
     rand_proper_coloring,
+    reference_assign,
     reference_fan_candidate,
     reference_maximal_fan,
     reference_maximal_path,
@@ -125,6 +128,50 @@ def test_maximal_path_matches_the_reference(C, data):
     x = data.draw(st.integers(0, C.graph.n - 1))
     a, b = colors_for(data, C, x), colors_for(data, C, x)
     assert_same(maximal_path, reference_maximal_path, C, a, b, x)
+
+
+def after_write(write, C: EdgeColoring, *args):
+    """What `write` returns on a copy of C, the state after and, when that
+    state is proper, the neighbor of every vertex along every color."""
+    C = C.copy()
+    result = write(C, *args)
+    # Row order decides which edge of a color beyond the table `neighbor`
+    # names only when the color repeats at the vertex; proper states have
+    # no such repeat, and improper ones leave the choice open.
+    colors = range(-1, C.palette + 2)
+    along = C.is_proper().proper and [
+        [C.neighbor(v, c) for c in colors] for v in range(C.graph.n)
+    ]
+    return result, [dict(row) for row in C._colors], C._nbr, C.count_colored(), along
+
+
+def reference_shift_fan(C: EdgeColoring, x: int, seq, color):
+    carry = color
+    for f in reversed(seq):
+        carry = reference_assign(C, x, f, carry)
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_assign_matches_the_pop_and_insert_reference(C, data):
+    n = C.graph.n
+    u = data.draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != u]
+    v = data.draw(st.sampled_from(C.graph.adj[u] or others) | st.sampled_from(others))
+    color = colors_for(data, C, u)
+    got = after_write(EdgeColoring.assign, C, u, v, color)
+    assert got == after_write(reference_assign, C, u, v, color)
+
+
+@given(states, st.data())
+@settings(max_examples=300, deadline=None)
+def test_shift_fan_matches_the_pop_and_insert_reference(C, data):
+    fan = draw_fan(data, C)
+    color = colors_for(data, C, fan.center)
+    args = (fan.center, fan.seq, color)
+    assert after_write(EdgeColoring.shift_fan, C, *args) == after_write(
+        reference_shift_fan, C, *args
+    )
 
 
 def test_kernels_read_colors_beyond_the_table():

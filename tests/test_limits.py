@@ -1,9 +1,10 @@
 """Inputs that must not cost more memory than the graph they describe.
 
-Each case runs the CLI in a child process whose address space is capped at
-512 MB (RLIMIT_AS, set in that child only). Memory linear in n and m fits
-easily; an n-by-n or n-by-palette table for these inputs would not, and
-the child would exit 3 (out of memory) instead of 0 or 1.
+Each case but the last runs the CLI in a child process whose address space
+is capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear in n
+and m fits easily; an n-by-n or n-by-palette table for these inputs would
+not, and the child would exit 3 (out of memory) instead of 0 or 1. The last
+case measures in process how compact the parse and the edge maps stay.
 """
 
 from __future__ import annotations
@@ -11,12 +12,21 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import mgcolor
-from mgcolor import cycle_graph, format_dimacs
+from mgcolor import (
+    cycle_graph,
+    format_coloring,
+    format_dimacs,
+    gnp_graph,
+    mk_edge_coloring,
+    parse_coloring,
+    parse_dimacs,
+)
 
 resource = pytest.importorskip("resource")
 
@@ -95,3 +105,24 @@ def test_huge_header_bad_later_line_allocates_nothing_per_vertex(tmp_path, text)
     stats = run_capped("stats", gfile)
     assert stats.returncode == 2, stats.stderr
     assert stats.stderr.startswith("error: line ")
+
+
+def test_parse_and_edge_maps_stay_compact():
+    # parse_dimacs keys duplicates in a dict, and the graph indexes its
+    # neighbors with dicts: a set of the same keys is several times larger.
+    # Sets read about 450 B per edge at the peak here, dicts about 290 B.
+    text = format_dimacs(gnp_graph(2000, 0.01, 1))
+    tracemalloc.start()
+    try:
+        g = parse_dimacs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m < 340, peak / g.m
+    # The loop recolors edges in place, so its edge maps are as compact as
+    # the same rows written once each; popping and inserting a recolored
+    # edge again left deleted slots that made them 1.7x larger.
+    coloring = mk_edge_coloring(g)
+    rows = parse_coloring(g, format_coloring(coloring))._colors
+    loop, fresh = (sum(map(sys.getsizeof, r)) for r in (coloring._colors, rows))
+    assert loop <= 1.03 * fresh, (loop, fresh)
