@@ -85,9 +85,10 @@ def invert(coloring: EdgeColoring, path: AltPath) -> None:
     """Swap colors a and b along a maximal alternating path. In place.
 
     One pass front to back writes each path edge once, through the trusted
-    `assign`, starting with b, which re-establishes alternation with the
-    two colors swapped. Maximality is what makes the swap valid at the
-    endpoints; it is the caller's to prove, and nothing is checked.
+    `assign` (the one-edge `shift_fan`), starting with b, which
+    re-establishes alternation with the two colors swapped. Maximality is
+    what makes the swap valid at the endpoints; it is the caller's to prove,
+    and nothing is checked.
     """
     seq = path.seq
     col, other = path.b, path.a

@@ -119,11 +119,11 @@ class EdgeColoring:
 
     def is_free(self, v: int, color: int) -> bool:
         """True iff `color` appears on no edge incident to v."""
-        self._check_vertex(v)
         return self.neighbor(v, color) is None
 
     def neighbor(self, v: int, color: int) -> int | None:
         """The neighbor of v along `color`; None when `color` is free on v."""
+        self._check_vertex(v)
         row = self._nbr[v]
         if 0 <= color < len(row):
             z = row[color]
@@ -161,6 +161,7 @@ class EdgeColoring:
 
     def min_free_color(self, v: int) -> int:
         """Smallest free color on v; the deterministic 'choose a free color'."""
+        self._check_vertex(v)
         row = self._nbr[v]
         try:
             return row.index(-1)
@@ -244,39 +245,21 @@ class EdgeColoring:
     def assign(self, u: int, v: int, color: Color) -> Color:
         """Trusted write of edge {u, v}; returns the color it replaced.
 
-        For the coloring loop. Nothing is validated: the caller has proved
-        that {u, v} is an edge and `color` is None or free on both endpoints
-        (or will be after the next write of a Kempe-chain swap). Library
-        callers want `set_edge_color`. A recolored edge is overwritten in
-        place, so only uncoloring leaves a deleted slot in the edge maps.
+        The one-edge case of `shift_fan`. For the coloring loop and the
+        setters: nothing is validated, so the caller has proved that {u, v}
+        is an edge and `color` is None or free on both endpoints (or will be
+        after the next write of a Kempe-chain swap). Library callers want
+        `set_edge_color`.
         """
-        cu = self._colors[u]
-        cv = self._colors[v]
-        nu = self._nbr[u]
-        nv = self._nbr[v]
-        old = cu.get(v)
-        # Within a swap the slot may already name the edge that now carries
-        # `old`; only clear a slot that still names this edge.
-        if old is not None and 0 <= old < len(nu):
-            if nu[old] == v:
-                nu[old] = -1
-            if nv[old] == u:
-                nv[old] = -1
-        if color is not None:
-            cu[v] = cv[u] = color
-            if 0 <= color < len(nu):
-                nu[color] = v
-                nv[color] = u
-            self._colored += old is None
-        elif old is not None:
-            del cu[v], cv[u]
-            self._colored -= 1
+        old = self._colors[u].get(v)
+        self.shift_fan(u, (v,), color)
         return old
 
     def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
         """Trusted rotation around x: {x, seq[i]} takes the color of
-        {x, seq[i + 1]} and {x, seq[-1]} takes `color`. One pass from the
-        back, with `assign`'s in-place effect on each edge in turn."""
+        {x, seq[i + 1]} and {x, seq[-1]} takes `color`, each edge in turn
+        from the back. The one trusted write: a recolored edge is overwritten
+        in place, so only uncoloring leaves a deleted slot in the edge maps."""
         colors, nbr = self._colors, self._nbr
         cx, nx = colors[x], nbr[x]
         width = len(nx)
@@ -284,6 +267,9 @@ class EdgeColoring:
         for f in reversed(seq):
             nf = nbr[f]
             old = cx.get(f)
+            # Within a swap (one `assign` per path edge) the slot may already
+            # name the edge that now carries `old`; only clear a slot that
+            # still names this edge.
             if old is not None and 0 <= old < width:
                 if nx[old] == f:
                     nx[old] = -1
@@ -473,7 +459,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     the graph and the number of lines, never the header's palette.
 
     One pass validates each line once, and each edge line is stored by one
-    trusted `assign`.
+    trusted one-edge `shift_fan`.
     """
     n = graph.n
     coloring: EdgeColoring | None = None
@@ -502,7 +488,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
             if y in rows[x]:
                 raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
             # Each edge is written once, so the trusted write replaces nothing.
-            assign(x, y, col - 1)
+            shift(x, (y,), col - 1)
         elif tag[0] == "c":
             continue
         elif tag == "s":
@@ -521,7 +507,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
             if palette < 1:
                 raise ParseError("palette must be >= 1", lineno)
             coloring = EdgeColoring(graph, palette)
-            rows, assign = coloring._colors, coloring.assign
+            rows, shift = coloring._colors, coloring.shift_fan
             ids = list(range(n))  # one int object per vertex, as in `Graph`
         else:
             raise ParseError(f"unknown line type {tag!r}", lineno)

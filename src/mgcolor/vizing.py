@@ -98,10 +98,13 @@ def extend_coloring(
     lemma checker once on each state it reaches: the fan as built, the
     path before and after its inversion, the subfan after it, and the
     rotation. The building blocks check nothing themselves. Properness is
-    checked on the rows the step wrote, and pending edges against the fan
-    and path edges it wrote, which keeps a debug step at about the cost of
-    the step. A write off the step's fan and path edges escapes these; one
-    more full `is_proper` after the last step reports it.
+    checked on the rows the step wrote. Every other edge the step writes
+    was colored before it, as `check_fan` and `check_path` have shown, so
+    only the step's own edge can be a pending one, and only when the list
+    names it again. This keeps a debug step at about the cost of the step.
+    A write off the step's fan and path edges escapes these checks: one
+    more full `is_proper` after the last step reports a defect, and the
+    step of a pending edge it colored raises `EdgeAlreadyColoredError`.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -120,8 +123,7 @@ def extend_coloring(
                 f"pending edge ({pending[0]}, {pending[1]}) is already colored"
             )
         # How often each edge, keyed (u, v) with u < v, is still to come
-        # (a list may name an edge twice). A step can color only an edge it
-        # writes, so only those are checked against this.
+        # (a list may name an edge twice).
         waiting = Counter((u, v) if u < v else (v, u) for u, v in edges)
 
     for i, (x, y) in enumerate(edges):
@@ -145,12 +147,9 @@ def extend_coloring(
                 check_path(coloring, path)
                 if not is_maximal_path(coloring, path):
                     raise NotMaximalError(f"constructed path {path_seq} is not maximal")
-                for z in g.adj[x]:
-                    if coloring.color_of(x, z) in (a, b) and z not in path_seq:
-                        raise InvariantError(
-                            f"backward extension exists at {x} via {z}; "
-                            "one-sided construction assumption violated"
-                        )
+                # Nor can the path extend backwards: row x is proper, its
+                # a-edge is the path's first (`check_path`) and b is free on
+                # it (`maximal_path`'s precondition).
             subfan = find_subfan(coloring, fan, path, a)
             invert(coloring, path)
             if debug:
@@ -189,13 +188,9 @@ def extend_coloring(
                 StepTrace((x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after)
             )
         if debug:
-            waiting[(x, y) if x < y else (y, x)] -= 1
-            wrote = [(x, f) for f in subfan.seq] + list(zip(path_seq, path_seq[1:]))
-            if any(
-                waiting[(u, v) if u < v else (v, u)]
-                and coloring.color_of(u, v) is not None
-                for u, v in wrote
-            ) and (pending := coloring.first_colored(edges[i + 1 :])) is not None:
+            key = (x, y) if x < y else (y, x)
+            waiting[key] -= 1
+            if waiting[key] and (pending := coloring.first_colored(edges[i + 1 :])):
                 raise InvariantError(
                     f"pending edge ({pending[0]}, {pending[1]}) is already colored"
                 )

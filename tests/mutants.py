@@ -1,0 +1,213 @@
+"""A committed mutant set: source edits the tests must keep catching.
+
+Each `Mutant` names a file under `src/mgcolor`, an exact snippet of it, the
+replacement, the test ids that must fail once the replacement is made, and,
+for a known survivor, the ids it passes with the reason. The tier-1 test
+`tests/test_mutants.py` checks that every snippet occurs exactly once in
+`src/`, so the table cannot go stale. The full run is opt-in:
+
+    python3 tests/mutants.py [NAME ...]
+
+For each mutant (or each one named) it copies `src/`, `tests/` and
+`pyproject.toml` to a temporary directory, applies the replacement there and
+runs the ids in a child `pytest` whose `PYTHONPATH` is the copy's `src`, with
+an address-space cap and a time limit, so a mutant that loops cannot hang or
+exhaust the host. A run that fails, hits the cap or times out kills the
+mutant. The exit status is 1 when any verdict differs from the table.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mgcolor"
+LIMIT_BYTES = 512 * 2**20
+TIMEOUT_S = 300
+
+ONE_STEP = tuple(
+    f"tests/test_debug_checks.py::test_one_step_on_{name}"
+    for name in (
+        "every_state_of_every_graph_up_to_four_vertices",
+        "every_state_of_sampled_adjacency_orders",
+        "sampled_states_of_five_vertex_graphs",
+    )
+)
+KERNELS = ("tests/test_kernels.py",)
+PARSERS = tuple(
+    f"tests/test_fuzz.py::test_parse_{name}_matches_the_reference_parser"
+    for name in ("dimacs", "coloring")
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/mgcolor
+    snippet: str
+    replacement: str
+    kill: tuple[str, ...]  # ids whose run must fail
+    survive: tuple[str, ...] = ()  # ids whose run passes, a known survivor
+    why: str = ""
+
+
+MUTANTS = (
+    # The subfan rule, path and rotation: the one-step lemma tests.
+    Mutant("subfan-plus-one", "vizing.py",
+           "return Fan(x, fan.seq[:idx])", "return Fan(x, fan.seq[:idx + 1])",
+           ONE_STEP),
+    Mutant("subfan-minus-one", "vizing.py",
+           "return Fan(x, fan.seq[:idx])", "return Fan(x, fan.seq[:idx - 1])",
+           ONE_STEP),
+    Mutant("path-parity-flipped", "altpath.py",
+           "coloring.kempe_walk(x, a, b)", "coloring.kempe_walk(x, b, a)",
+           ONE_STEP),
+    Mutant("rotation-order-reversed", "coloring.py",
+           "for f in reversed(seq):", "for f in seq:",
+           ONE_STEP),
+    Mutant("min-free-color-largest", "coloring.py",
+           "return row.index(-1)", "return len(row) - 1 - row[::-1].index(-1)",
+           ("tests/test_golden.py", "tests/test_vizing.py"),
+           ONE_STEP + KERNELS,
+           "any free color keeps every lemma, and the kernels are held to "
+           "references that take the colors as given; only pinned outputs "
+           "see which free color was chosen"),
+    # The kernels against the per-edge reference blocks.
+    # Fans it builds are not maximal, but the kernel tests' small random
+    # states seldom need an earlier candidate after an extension.
+    Mutant("fan-scan-not-restarted", "coloring.py",
+           "cs.remove(c)", "cs = cs[cs.index(c) + 1:]",
+           ONE_STEP[2:]),
+    Mutant("fan-first-match-to-last-match", "coloring.py",
+           "for c in cs:", "for c in reversed(cs):",
+           KERNELS),
+    Mutant("fan-fallback-switched-off", "coloring.py",
+           "if len(colors) + nx.count(-1) != len(nx):", "if False:",
+           KERNELS),
+    # The fan grows without end, so the run dies at the address-space cap.
+    Mutant("fan-color-not-popped", "coloring.py",
+           "cs.remove(c)", "pass",
+           ("tests/test_vizing.py::TestFindSubfan::test_prefix_case",)),
+    Mutant("kempe-walk-always-on-table", "coloring.py",
+           "table = 0 <= a < len(nbr[x]) and 0 <= b < len(nbr[x])", "table = True",
+           KERNELS),
+    # The one trusted write, `shift_fan`, which `assign` is one edge of.
+    Mutant("fan-vertex-slot-cleared-unconditionally", "coloring.py",
+           "if nf[old] == x:\n                    nf[old] = -1",
+           "nf[old] = -1",
+           KERNELS),
+    Mutant("x-slot-cleared-unconditionally", "coloring.py",
+           "if nx[old] == f:\n                    nx[old] = -1",
+           "nx[old] = -1",
+           ("tests/test_vizing.py", "tests/test_golden.py")),
+    Mutant("colored-count-wrong", "coloring.py",
+           "self._colored += (color is not None) - (carry is not None)",
+           "self._colored += color is not None",
+           KERNELS),
+    Mutant("uncolor-one-orientation", "coloring.py",
+           "del cx[f], colors[f][x]", "del cx[f]",
+           KERNELS),
+    # The single-pass parsers against the line-by-line reference parsers.
+    Mutant("dimacs-duplicate-key-ignores-orientation", "graph.py",
+           "key = u * n + v if u < v else v * n + u\n            if key in seen:",
+           "key = u * n + v\n            if key in seen:",
+           PARSERS),
+    Mutant("dimacs-duplicate-test-skipped-for-u-above-v", "graph.py",
+           "if key in seen:\n                raise ParseError",
+           "if key in seen and u < v:\n                raise ParseError",
+           PARSERS),
+    Mutant("dimacs-range-off-by-one", "graph.py",
+           "if not (0 < u <= n and 0 < v <= n):",
+           "if not (0 < u <= n + 1 and 0 < v <= n + 1):",
+           PARSERS),
+    Mutant("dimacs-error-field-order-reversed", "graph.py",
+           "u, v = (_int_field(f, lineno) for f in fields[1:])",
+           "v, u = (_int_field(f, lineno) for f in fields[:0:-1])",
+           PARSERS),
+    Mutant("dimacs-whitespace-led-lines-skipped", "graph.py",
+           "fields = line.split()\n        if not fields:",
+           "fields = line.split()\n        if not fields or line[:1].isspace():",
+           PARSERS),
+    Mutant("coloring-self-loop-and-zero-color-swapped", "coloring.py",
+           """if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            if col < 1:
+                raise ParseError("colors are 1-based and must be >= 1", lineno)""",
+           """if col < 1:
+                raise ParseError("colors are 1-based and must be >= 1", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)""",
+           PARSERS),
+)
+
+
+def occurrences(m: Mutant) -> int:
+    return (SRC / m.file).read_text().count(m.snippet)
+
+
+def _cap_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
+
+
+def run_ids(m: Mutant, ids: tuple[str, ...]) -> tuple[bool, str]:
+    """(passed, detail) of the ids on a copy of the tree with `m` applied."""
+    with tempfile.TemporaryDirectory(prefix="mgcolor-mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / "src" / "mgcolor" / m.file
+        text = target.read_text()
+        if text.count(m.snippet) != 1:
+            return False, f"snippet occurs {text.count(m.snippet)} times"
+        target.write_text(text.replace(m.snippet, m.replacement))
+        env = {**os.environ, "PYTHONPATH": str(work / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *ids]
+        try:
+            child = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
+                                   text=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    last = child.stdout.strip().splitlines()[-1:] or [child.stderr.strip()[-200:]]
+    if child.returncode not in (0, 1, 2):  # e.g. 4: an id was not found
+        raise RuntimeError(f"{m.name}: pytest exit {child.returncode}: {last[0]}")
+    return child.returncode == 0, last[0]
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failures = 0
+    start = time.perf_counter()
+    for m in MUTANTS:
+        if names and m.name not in names:
+            continue
+        t0 = time.perf_counter()
+        passed, detail = run_ids(m, m.kill)
+        verdict = "survived" if passed else "killed"
+        ok = not passed
+        if m.survive:
+            still, tail = run_ids(m, m.survive)
+            ok = ok and still
+            detail += f"; {'passes' if still else 'fails'} its survivor ids: {tail}"
+        failures += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {m.name}: {verdict} ({detail}) "
+              f"{time.perf_counter() - t0:.1f} s", flush=True)
+    print(f"{failures} unexpected verdicts, {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

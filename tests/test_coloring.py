@@ -93,6 +93,17 @@ class TestFreeColors:
         with pytest.raises(VertexRangeError):
             free_colors_on(k3_coloring(), 5)
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_lookups_reject_a_vertex_out_of_range(self, v):
+        # -1 would index the last row from the end; 4 = n has no row.
+        C = EdgeColoring(path_graph(4), 3)
+        with pytest.raises(VertexRangeError):
+            C.min_free_color(v)
+        with pytest.raises(VertexRangeError):
+            C.neighbor(v, 0)
+        with pytest.raises(VertexRangeError):
+            C.is_free(v, 0)
+
 
 class TestValidity:
     def test_none_always_valid(self):

@@ -4,7 +4,7 @@ The fan and path building blocks check nothing; `extend_coloring(debug=True)`
 runs each lemma checker once on each state a step reaches. It checks
 properness only on the rows the step wrote, the swap contract of an
 inversion as the path alternating with its colors swapped, and only the
-written edges against the pending ones. These tests show that this gives
+step's own edge against the pending ones. These tests show that this gives
 the verdicts of the full scans, that the full scans run only at the two
 ends of a run, that each checker runs once per state, that a fault in any
 building block is caught at its step, and that a one-step run holds its
@@ -125,13 +125,20 @@ def test_fault_after_the_last_step_is_reported_by_the_final_scan():
         extend_coloring(C, edges, debug=True, on_step=on_step)
 
 
-@pytest.mark.parametrize("second", [(0, 1), (1, 0)])
-def test_a_step_that_colors_a_pending_edge_is_caught(second):
+@pytest.mark.parametrize("edges", [
+    pytest.param([(0, 1), (0, 1)], id="second0"),
+    pytest.param([(0, 1), (1, 0)], id="second1"),
+    # On K3, with another pending edge listed between the two copies.
+    pytest.param([(0, 1), (1, 2), (1, 0)], id="second_not_next"),
+])
+def test_a_step_that_colors_a_pending_edge_is_caught(edges):
     # Listing an edge twice: its first step colors the second copy.
-    C = EdgeColoring(complete_graph(2), 2)
+    n = 1 + max(map(max, edges))
+    second = edges[-1]
+    C = EdgeColoring(complete_graph(n), n)
     pending = re.escape(f"pending edge {second} is already colored")
     with pytest.raises(InvariantError, match=pending):
-        extend_coloring(C, [(0, 1), second], debug=True)
+        extend_coloring(C, edges, debug=True)
     assert C.count_colored() == 1
 
 
