@@ -5,9 +5,10 @@ distinct vertices whose consecutive edges are colored a, b, a, b, ...
 Inverting a maximal path swaps a and b along it, which keeps the coloring
 proper and swaps which of the two colors is free at x.
 
-`maximal_path` and `invert` check their call preconditions only (the walk
-is one trusted `EdgeColoring.kempe_walk`); `extend_coloring(debug=True)`
-runs the path checkers on the paths it builds and inverts.
+`maximal_path` checks its call preconditions only, then makes one trusted
+`EdgeColoring.kempe_walk`; `invert` has none and is one trusted
+`EdgeColoring.kempe_swap`. `extend_coloring(debug=True)` runs the path
+checkers on the paths it builds and inverts.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
         raise PreconditionError("path colors must be real colors")
     if a == b:
         raise PreconditionError(f"path colors must differ, got {a} twice")
-    if not coloring.is_free(x, b):
+    if coloring.neighbor(x, b) is not None:
         raise PreconditionError(f"color {b} must be free on start vertex {x}")
 
     return AltPath(a, b, coloring.kempe_walk(x, a, b))
@@ -84,17 +85,13 @@ def is_maximal_path(coloring: EdgeColoring, path: AltPath) -> bool:
 def invert(coloring: EdgeColoring, path: AltPath) -> None:
     """Swap colors a and b along a maximal alternating path. In place.
 
-    One pass front to back writes each path edge once, through the trusted
-    `assign` (the one-edge `shift_fan`), starting with b, which
-    re-establishes alternation with the two colors swapped. Maximality is
-    what makes the swap valid at the endpoints; it is the caller's to prove,
-    and nothing is checked.
+    One trusted `EdgeColoring.kempe_swap` writes each path edge once,
+    starting with b, and moves the a and b table slots of every path vertex:
+    the inversion lemma, that a and b change places at each vertex of the
+    path. Maximality is what makes the swap valid at the endpoints; it is
+    the caller's to prove, and nothing is checked.
     """
-    seq = path.seq
-    col, other = path.b, path.a
-    for i in range(len(seq) - 1):
-        coloring.assign(seq[i], seq[i + 1], col)
-        col, other = other, col
+    coloring.kempe_swap(path.seq, path.a, path.b)
 
 
 def is_inverted(

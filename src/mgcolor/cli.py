@@ -28,7 +28,7 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
-from typing import TextIO, get_type_hints
+from typing import TextIO
 
 from .coloring import format_coloring, parse_coloring
 from .errors import BadParamsError, InputError, TooLargeError
@@ -61,22 +61,21 @@ def _trace_writer(tr: TextIO, n: int) -> Callable[[StepTrace], object]:
     """`on_step` that writes each record to `tr` as one JSON object per line.
 
     Keys follow `StepTrace._fields`. Every field is an int or a tuple of
-    vertices in [0, n), so filling a template made once, `%d` for an int
-    and the vertices' names joined inside brackets for a tuple, gives the
-    bytes of `json.dumps(step._asdict())` at a fraction of its cost.
+    vertices in [0, n), so filling one literal template, `%d` for an int and
+    the vertices' names joined inside brackets for a tuple, gives the bytes
+    of `json.dumps(step._asdict())` at a fraction of its cost.
     """
-    hints = get_type_hints(StepTrace)
-    tuples = [i for i, name in enumerate(StepTrace._fields) if hints[name] is not int]
-    line = "{" + ", ".join(f'"{name}": ' + ("%d" if hints[name] is int else "[%s]")
-                           for name in StepTrace._fields) + "}\n"
+    line = ('{"edge": [%d, %d], "fan": [%s], "color_a": %d, "color_b": %d, '
+            '"path": [%s], "subfan_len": %d, "colored_before": %d, '
+            '"colored_after": %d}\n')
     name_of = [str(v) for v in range(n)].__getitem__
+    join = ", ".join
     write = tr.write
 
     def on_step(step: StepTrace) -> None:
-        values = list(step)
-        for i in tuples:
-            values[i] = ", ".join(map(name_of, values[i]))
-        write(line % tuple(values))
+        (x, y), fan, a, b, path, k, before, after = step
+        write(line % (x, y, join(map(name_of, fan)), a, b, join(map(name_of, path)),
+                      k, before, after))
 
     return on_step
 

@@ -123,8 +123,10 @@ class EdgeColoring:
 
     def neighbor(self, v: int, color: int) -> int | None:
         """The neighbor of v along `color`; None when `color` is free on v."""
-        self._check_vertex(v)
-        row = self._nbr[v]
+        nbr = self._nbr
+        if not 0 <= v < len(nbr):
+            raise VertexRangeError(v, len(nbr))
+        row = nbr[v]
         if 0 <= color < len(row):
             z = row[color]
             return z if z >= 0 else None
@@ -161,8 +163,10 @@ class EdgeColoring:
 
     def min_free_color(self, v: int) -> int:
         """Smallest free color on v; the deterministic 'choose a free color'."""
-        self._check_vertex(v)
-        row = self._nbr[v]
+        nbr = self._nbr
+        if not 0 <= v < len(nbr):
+            raise VertexRangeError(v, len(nbr))
+        row = nbr[v]
         try:
             return row.index(-1)
         except ValueError:  # every color of the table is used on v
@@ -182,10 +186,6 @@ class EdgeColoring:
             return True
         return self.is_free(u, color) and self.is_free(v, color)
 
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.graph.n:
-            raise VertexRangeError(v, self.graph.n)
-
     def count_colored(self) -> int:
         """Number of undirected edges currently colored."""
         return self._colored
@@ -196,16 +196,7 @@ class EdgeColoring:
 
     def first_colored(self, edges: Iterable[Edge]) -> Edge | None:
         """First edge of `edges` that is colored; None when all are uncolored."""
-        n = self.graph.n
-        rows = self._colors
-        for u, v in edges:
-            if not 0 <= u < n:
-                raise VertexRangeError(u, n)
-            if not 0 <= v < n:
-                raise VertexRangeError(v, n)
-            if v in rows[u]:
-                return (u, v)
-        return None
+        return next(((u, v) for u, v in edges if self.color_of(u, v) is not None), None)
 
     # -- mutation --------------------------------------------------------
 
@@ -236,8 +227,7 @@ class EdgeColoring:
         states for the full-scan checker. Indices must still be in range,
         and u != v.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.color_of(u, v)  # range-checks both ends
         if u == v:
             raise SelfLoopError(u)
         self._store(u, v, color)
@@ -245,10 +235,9 @@ class EdgeColoring:
     def assign(self, u: int, v: int, color: Color) -> Color:
         """Trusted write of edge {u, v}; returns the color it replaced.
 
-        The one-edge case of `shift_fan`. For the coloring loop and the
-        setters: nothing is validated, so the caller has proved that {u, v}
-        is an edge and `color` is None or free on both endpoints (or will be
-        after the next write of a Kempe-chain swap). Library callers want
+        The one-edge case of `shift_fan`, for the setters: nothing is
+        validated, so the caller has proved that {u, v} is an edge and
+        `color` is None or free on both endpoints. Library callers want
         `set_edge_color`.
         """
         old = self._colors[u].get(v)
@@ -258,8 +247,8 @@ class EdgeColoring:
     def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
         """Trusted rotation around x: {x, seq[i]} takes the color of
         {x, seq[i + 1]} and {x, seq[-1]} takes `color`, each edge in turn
-        from the back. The one trusted write: a recolored edge is overwritten
-        in place, so only uncoloring leaves a deleted slot in the edge maps."""
+        from the back. A recolored edge is overwritten in place, so only
+        uncoloring leaves a deleted slot in the edge maps."""
         colors, nbr = self._colors, self._nbr
         cx, nx = colors[x], nbr[x]
         width = len(nx)
@@ -267,9 +256,8 @@ class EdgeColoring:
         for f in reversed(seq):
             nf = nbr[f]
             old = cx.get(f)
-            # Within a swap (one `assign` per path edge) the slot may already
-            # name the edge that now carries `old`; only clear a slot that
-            # still names this edge.
+            # In an improper state the slot may name another edge that
+            # carries `old`; only clear a slot that still names this edge.
             if old is not None and 0 <= old < width:
                 if nx[old] == f:
                     nx[old] = -1
@@ -300,6 +288,31 @@ class EdgeColoring:
             path[z] = None
             x, a, b = z, b, a
         return tuple(path)
+
+    def kempe_swap(self, seq: Sequence[int], a: int, b: int) -> None:
+        """Trusted inversion of the alternating path `seq`: its edges, colored
+        a, b, a, ... from seq[0], take b, a, b, .... Each edge's two map
+        entries are written once, and each path vertex's a and b slots are
+        cleared before the edges at it set theirs. The path is the caller's
+        to prove maximal on a proper coloring; its edges stay colored, so the
+        colored count is left alone."""
+        colors, nbr = self._colors, self._nbr
+        width = len(nbr[0]) if nbr else 0
+        ta, tb = 0 <= a < width, 0 <= b < width
+        u = nu = None
+        col, other = a, b
+        for v in seq:
+            nv = nbr[v]
+            if ta:
+                nv[a] = -1
+            if tb:
+                nv[b] = -1
+            if nu is not None:  # the edge from the previous vertex
+                colors[u][v] = colors[v][u] = col
+                if 0 <= col < width:
+                    nu[col] = v
+                    nv[col] = u
+            u, nu, col, other = v, nv, other, col
 
     def _store(self, u: int, v: int, color: Color) -> None:
         """`assign`, then re-point the table at any other edge still
@@ -458,8 +471,9 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     colors_used field is informational and not validated. Memory follows
     the graph and the number of lines, never the header's palette.
 
-    One pass validates each line once, and each edge line is stored by one
-    trusted one-edge `shift_fan`.
+    One pass validates each line once and writes each edge line into the
+    two edge maps; the table is then filled from the maps in line order, so
+    where a vertex repeats a color its slot names the last such line.
     """
     n = graph.n
     coloring: EdgeColoring | None = None
@@ -487,8 +501,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
             x, y = ids[u - 1], ids[v - 1]
             if y in rows[x]:
                 raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
-            # Each edge is written once, so the trusted write replaces nothing.
-            shift(x, (y,), col - 1)
+            rows[x][y] = rows[y][x] = col - 1
         elif tag[0] == "c":
             continue
         elif tag == "s":
@@ -507,10 +520,16 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
             if palette < 1:
                 raise ParseError("palette must be >= 1", lineno)
             coloring = EdgeColoring(graph, palette)
-            rows, shift = coloring._colors, coloring.shift_fan
+            rows = coloring._colors
             ids = list(range(n))  # one int object per vertex, as in `Graph`
         else:
             raise ParseError(f"unknown line type {tag!r}", lineno)
     if coloring is None:
         raise ParseError("missing 's' header")
+    width = len(coloring._nbr[0]) if n else 0
+    for row, slots in zip(rows, coloring._nbr):
+        for z, c in row.items():
+            if c < width:  # colors are >= 0 here
+                slots[c] = z
+    coloring._colored = sum(map(len, rows)) // 2
     return coloring

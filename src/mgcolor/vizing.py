@@ -134,7 +134,7 @@ def extend_coloring(
             check_fan(coloring, fan)
             if not is_maximal_fan(coloring, fan):
                 raise NotMaximalError(f"constructed fan {fan.seq} is not maximal")
-        a = coloring.min_free_color(fan.last())
+        a = coloring.min_free_color(fan.seq[-1])
         b = coloring.min_free_color(x)
 
         if a == b:

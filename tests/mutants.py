@@ -79,11 +79,9 @@ MUTANTS = (
            "references that take the colors as given; only pinned outputs "
            "see which free color was chosen"),
     # The kernels against the per-edge reference blocks.
-    # Fans it builds are not maximal, but the kernel tests' small random
-    # states seldom need an earlier candidate after an extension.
     Mutant("fan-scan-not-restarted", "coloring.py",
            "cs.remove(c)", "cs = cs[cs.index(c) + 1:]",
-           ONE_STEP[2:]),
+           ONE_STEP[2:] + KERNELS),
     Mutant("fan-first-match-to-last-match", "coloring.py",
            "for c in cs:", "for c in reversed(cs):",
            KERNELS),
@@ -97,15 +95,17 @@ MUTANTS = (
     Mutant("kempe-walk-always-on-table", "coloring.py",
            "table = 0 <= a < len(nbr[x]) and 0 <= b < len(nbr[x])", "table = True",
            KERNELS),
-    # The one trusted write, `shift_fan`, which `assign` is one edge of.
+    # The trusted rotation `shift_fan`, which `assign` is one edge of.
     Mutant("fan-vertex-slot-cleared-unconditionally", "coloring.py",
            "if nf[old] == x:\n                    nf[old] = -1",
            "nf[old] = -1",
            KERNELS),
+    # Inversions write through `kempe_swap`, and rotations of proper states
+    # never need this rule: only an improper row at x does.
     Mutant("x-slot-cleared-unconditionally", "coloring.py",
            "if nx[old] == f:\n                    nx[old] = -1",
            "nx[old] = -1",
-           ("tests/test_vizing.py", "tests/test_golden.py")),
+           ("tests/test_kernels.py::test_assign_keeps_an_x_slot_that_names_another_edge",)),
     Mutant("colored-count-wrong", "coloring.py",
            "self._colored += (color is not None) - (carry is not None)",
            "self._colored += color is not None",
@@ -113,6 +113,19 @@ MUTANTS = (
     Mutant("uncolor-one-orientation", "coloring.py",
            "del cx[f], colors[f][x]", "del cx[f]",
            KERNELS),
+    # The trusted inversion `kempe_swap`, and the setters' re-point.
+    Mutant("kempe-swap-last-vertex-slots-kept", "coloring.py",
+           "if ta:\n                nv[a] = -1\n            if tb:\n                nv[b] = -1",
+           "if ta and v != seq[-1]:\n                nv[a] = -1\n"
+           "            if tb and v != seq[-1]:\n                nv[b] = -1",
+           KERNELS),
+    Mutant("kempe-swap-one-orientation", "coloring.py",
+           "colors[u][v] = colors[v][u] = col", "colors[u][v] = col",
+           KERNELS),
+    Mutant("store-skips-the-re-point", "coloring.py",
+           "row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)",
+           "pass",
+           ("tests/test_coloring.py::test_lookups_survive_removing_one_of_two_equal_colors",)),
     # The single-pass parsers against the line-by-line reference parsers.
     Mutant("dimacs-duplicate-key-ignores-orientation", "graph.py",
            "key = u * n + v if u < v else v * n + u\n            if key in seen:",

@@ -221,8 +221,8 @@ class TestIsProper:
 
     @pytest.mark.parametrize("b", [1, 7], ids=["in palette", "beyond palette"])
     def test_key_outside_the_vertex_range_is_a_non_edge(self, b):
-        # `invert` writes through the trusted `assign`, so a path vertex of
-        # -1 indexes rows from the end: row 0 gets key -1, row 2 key 0.
+        # `invert` writes through the trusted `kempe_swap`, so a path vertex
+        # of -1 indexes rows from the end: row 0 gets key -1, row 2 key 0.
         C = k3_coloring()
         invert(C, AltPath(0, b, (0, -1)))
         verdict = C.is_proper()

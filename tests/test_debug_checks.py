@@ -56,6 +56,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     edges = uncolored_edges(C)
     real_assign = EdgeColoring.assign
     real_shift_fan = EdgeColoring.shift_fan
+    real_kempe_swap = EdgeColoring.kempe_swap
     real_violation_at = EdgeColoring.violation_at
     written: set[int] = set()
     calls = 0
@@ -69,6 +70,11 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
         # A rotation writes rows x and seq without going through `assign`.
         written.update((x, *seq))
         return real_shift_fan(self, x, seq, color)
+
+    def kempe_swap(self, seq, a, b):
+        # An inversion writes the rows of its path without going through `assign`.
+        written.update(seq)
+        return real_kempe_swap(self, seq, a, b)
 
     def violation_at(self, vertices):
         nonlocal calls, injected
@@ -91,6 +97,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
 
     with mock.patch.object(EdgeColoring, "assign", assign), \
             mock.patch.object(EdgeColoring, "shift_fan", shift_fan), \
+            mock.patch.object(EdgeColoring, "kempe_swap", kempe_swap), \
             mock.patch.object(EdgeColoring, "violation_at", violation_at):
         try:
             extend_coloring(C, edges, debug=True)

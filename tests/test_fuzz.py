@@ -162,6 +162,8 @@ def test_parse_dimacs_matches_the_reference_parser(text):
 @example((GNP, GNP_HEADER + "\ne 13 13 0"))
 @example((GNP, GNP_HEADER + "\ne 1 8 1\ne 8 1 2"))
 @example((GNP, "s 12 22 x 1\ne 1 8 1"))
+# Each vertex of the triangle repeats color 1: its slot names the last line.
+@example((GNP, GNP_HEADER + "\ne 1 8 1\ne 3 1 1\ne 8 3 1"))
 def test_parse_coloring_matches_the_reference_parser(case):
     graph, text = case
     got = outcome(parse_coloring, graph, text)

@@ -1,15 +1,17 @@
 """The one-pass `EdgeColoring` kernels against the per-edge building blocks.
 
-`maximal_fan`, `is_maximal_fan`, `rotate_fan` and `maximal_path` each make
-one kernel call (`fan_extension`, `shift_fan`, `kempe_walk`). On every
-state they must do what the reference blocks in `tests.helpers` do: return
-the same fan, verdict or path, or raise the same error, and leave the same
-coloring behind. States include proper ones with palettes above Δ+1 that
-use colors beyond the table, and improper ones written with the unchecked
-setter. Rows are compared as neighbor→color maps: the order of a row's
-keys is not behaviour. The trusted writes `assign` and `shift_fan`, which
-overwrite a recolored edge in place, are held to `reference_assign`, which
-pops it and inserts it again, on the same states.
+`maximal_fan`, `is_maximal_fan`, `rotate_fan`, `maximal_path` and `invert`
+each make one kernel call (`fan_extension`, `shift_fan`, `kempe_walk`,
+`kempe_swap`). On every state they must do what the reference blocks in
+`tests.helpers` do: return the same fan, verdict or path, or raise the same
+error, and leave the same coloring behind. States include proper ones with
+palettes above Δ+1 that use colors beyond the table, and improper ones
+written with the unchecked setter. Rows are compared as neighbor→color
+maps: the order of a row's keys is not behaviour. The trusted writes
+`assign`, `shift_fan` and `kempe_swap`, which overwrite a recolored edge in
+place, are held to `reference_assign`, which pops it and inserts it again:
+the first two on the same states, and `kempe_swap`, through `invert`, on
+maximal paths of proper states, the inversion lemma's premises.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from mgcolor import (
     Fan,
     Graph,
     gnp_graph,
+    invert,
     is_maximal_fan,
     maximal_fan,
     maximal_path,
@@ -174,6 +177,30 @@ def test_shift_fan_matches_the_pop_and_insert_reference(C, data):
     )
 
 
+def reference_invert(C: EdgeColoring, path):
+    """Reference `invert`: one `reference_assign` per path edge, front to back."""
+    col, other = path.b, path.a
+    for u, v in zip(path.seq, path.seq[1:]):
+        reference_assign(C, u, v, col)
+        col, other = other, col
+
+
+@given(wide_palette_states(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_invert_matches_the_per_edge_reference(C, data):
+    # A maximal path of a proper state, from colors in and beyond the table:
+    # b free on x, and a a color at x when there is one, so that the path
+    # has an edge.
+    x = data.draw(st.integers(0, C.graph.n - 1))
+    b = data.draw(st.sampled_from([c for c in range(C.palette) if C.is_free(x, c)]))
+    at_x = sorted(set(C._colors[x].values()))
+    a = data.draw(st.sampled_from(at_x or [c for c in range(C.palette + 1) if c != b]))
+    path = maximal_path(C, a, b, x)
+    got = after_write(invert, C, path)
+    assert got == after_write(reference_invert, C, path)
+    assert got[4]  # the state after is proper, so every `neighbor` was compared
+
+
 def test_kernels_read_colors_beyond_the_table():
     # Δ = 3, so the table holds colors 0..3; the star's edges carry 5, 6, 7.
     C = EdgeColoring(star_graph(4), 9)
@@ -187,6 +214,32 @@ def test_kernels_read_colors_beyond_the_table():
         assert_same(maximal_path, reference_maximal_path, C, a, b, 1)
     for color in (8, 1):
         assert_same(rotate_fan, reference_rotate_fan, C, Fan(0, (1, 2, 3, 4)), color)
+
+
+def test_each_fan_extension_is_the_first_match_of_a_fresh_scan():
+    # Around 0 the candidates are 1, 2, 3, and {0, 2}, {0, 3} have colors
+    # 0, 1. Both are free on 1, so the fan takes 2, the first match, then 3.
+    C = EdgeColoring(Graph(5, [(0, 1), (0, 2), (0, 3), (1, 4)]), 4)
+    C.set_edge_color(0, 2, 0)
+    C.set_edge_color(0, 3, 1)
+    assert maximal_fan(C, 0, 1) == Fan(0, (1, 2, 3))
+    assert_same(maximal_fan, reference_maximal_fan, C, 0, 1)
+    # With 0 used on 1 as well, the fan takes 3 first; 0 is free on 3, so
+    # 2, listed before it, follows.
+    C.set_edge_color(1, 4, 0)
+    assert maximal_fan(C, 0, 1) == Fan(0, (1, 3, 2))
+    assert_same(maximal_fan, reference_maximal_fan, C, 0, 1)
+
+
+def test_assign_keeps_an_x_slot_that_names_another_edge():
+    # Improper at 0: {0, 1} and {0, 2} both have color 0, and 0's slot for
+    # it names 2, the later write. Recoloring {0, 1} must keep that slot.
+    C = EdgeColoring(Graph(3, [(0, 1), (0, 2)]), 3)
+    C.set_edge_color_unchecked(0, 1, 0)
+    C.set_edge_color_unchecked(0, 2, 0)
+    got = after_write(EdgeColoring.assign, C, 0, 1, 1)
+    assert got == after_write(reference_assign, C, 0, 1, 1)
+    assert got[2][0][0] == 2
 
 
 def test_a_revisited_vertex_is_reported_by_both():
