@@ -68,7 +68,7 @@ def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
     if coloring.neighbor(x, b) is not None:
         raise PreconditionError(f"color {b} must be free on start vertex {x}")
 
-    return AltPath(a, b, coloring.kempe_walk(x, a, b))
+    return tuple.__new__(AltPath, (a, b, coloring.kempe_walk(x, a, b)))
 
 
 def is_maximal_path(coloring: EdgeColoring, path: AltPath) -> bool:

@@ -61,21 +61,20 @@ def _trace_writer(tr: TextIO, n: int) -> Callable[[StepTrace], object]:
     """`on_step` that writes each record to `tr` as one JSON object per line.
 
     Keys follow `StepTrace._fields`. Every field is an int or a tuple of
-    vertices in [0, n), so filling one literal template, `%d` for an int and
-    the vertices' names joined inside brackets for a tuple, gives the bytes
-    of `json.dumps(step._asdict())` at a fraction of its cost.
+    vertices in [0, n), so one f-string, with each int in its decimal form
+    and each tuple as its vertices' names joined inside brackets, gives the
+    bytes of `json.dumps(step._asdict())` at a fraction of its cost.
     """
-    line = ('{"edge": [%d, %d], "fan": [%s], "color_a": %d, "color_b": %d, '
-            '"path": [%s], "subfan_len": %d, "colored_before": %d, '
-            '"colored_after": %d}\n')
     name_of = [str(v) for v in range(n)].__getitem__
     join = ", ".join
     write = tr.write
 
     def on_step(step: StepTrace) -> None:
         (x, y), fan, a, b, path, k, before, after = step
-        write(line % (x, y, join(map(name_of, fan)), a, b, join(map(name_of, path)),
-                      k, before, after))
+        write(f'{{"edge": [{x}, {y}], "fan": [{join(map(name_of, fan))}], '
+              f'"color_a": {a}, "color_b": {b}, "path": [{join(map(name_of, path))}], '
+              f'"subfan_len": {k}, "colored_before": {before}, '
+              f'"colored_after": {after}}}\n')
 
     return on_step
 

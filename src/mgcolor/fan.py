@@ -7,8 +7,11 @@ and gives the last fan edge a new color, which provably keeps the coloring
 proper.
 
 `maximal_fan` and `rotate_fan` check their call preconditions, then make
-one trusted `EdgeColoring` call; `extend_coloring(debug=True)` runs
-`check_fan` and `is_maximal_fan` on the fans it builds and rotates.
+one trusted `EdgeColoring` call. Each tests the range of its two vertices
+once, then reads the graph's adjacency index and the edge map directly,
+raising what `Graph.has_edge` and `EdgeColoring.color_of` would.
+`extend_coloring(debug=True)` runs `check_fan` and `is_maximal_fan` on the
+fans it builds and rotates.
 """
 
 from __future__ import annotations
@@ -43,12 +46,17 @@ def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
     vertex, until none is; uncolored edges, {x, y} among them, never do.
     """
     g = coloring.graph
-    if not g.has_edge(x, y):
+    n = g.n
+    if not 0 <= x < n:
+        raise VertexRangeError(x, n)
+    if not 0 <= y < n:
+        raise VertexRangeError(y, n)
+    if y not in g._adj_index[x]:
         raise NotAnEdgeError(x, y)
-    if coloring.color_of(x, y) is not None:
+    if coloring._colors[x].get(y) is not None:
         raise EdgeAlreadyColoredError(f"edge ({x}, {y}) is already colored")
 
-    return Fan(x, (y, *coloring.fan_extension(x, y, g.adj[x])))
+    return tuple.__new__(Fan, (x, (y, *coloring.fan_extension(x, y, g.adj[x]))))
 
 
 def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
@@ -100,11 +108,15 @@ def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
     the uncolored first edge is checked; the fan and the color are the
     caller's to prove.
     """
-    x = fan.center
-    seq = fan.seq
+    x, seq = fan
     if not seq:
         raise PreconditionError("cannot rotate an empty fan")
-    if coloring.color_of(x, seq[0]) is not None:
+    n = coloring.graph.n
+    if not 0 <= x < n:
+        raise VertexRangeError(x, n)
+    if not 0 <= seq[0] < n:
+        raise VertexRangeError(seq[0], n)
+    if coloring._colors[x].get(seq[0]) is not None:
         raise PreconditionError(
             f"first fan edge ({x}, {seq[0]}) must be uncolored before rotation"
         )

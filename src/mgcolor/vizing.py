@@ -64,19 +64,20 @@ def find_subfan(
     prefix ending just before the a-colored edge is the answer. Either way
     `a` is free on the result's last vertex after the inversion.
     """
-    x = fan.center
+    x, seq = fan
     z = coloring.neighbor(x, a)
-    if z not in fan.seq:
+    try:
+        idx = seq.index(z)
+    except ValueError:  # no fan edge is colored a
         return fan
-    idx = fan.seq.index(z)
     if idx == 0:
         # The first fan edge is uncolored by construction, never a.
         raise SubfanError(
-            f"first fan edge ({x}, {fan.seq[0]}) carries color {a}"
+            f"first fan edge ({x}, {seq[0]}) carries color {a}"
         )
-    if fan.seq[idx - 1] in path.seq:
+    if seq[idx - 1] in path.seq:
         return fan
-    return Fan(x, fan.seq[:idx])
+    return tuple.__new__(Fan, (x, seq[:idx]))
 
 
 def extend_coloring(
@@ -184,9 +185,11 @@ def extend_coloring(
                 f"iteration on ({x}, {y}) colored {after - before} edges, not 1"
             )
         if on_step is not None:
-            on_step(
-                StepTrace((x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after)
-            )
+            # Records are built by `tuple.__new__`, one C call that skips
+            # the arity check of the generated `__new__`.
+            on_step(tuple.__new__(StepTrace, (
+                (x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after
+            )))
         if debug:
             key = (x, y) if x < y else (y, x)
             waiting[key] -= 1
