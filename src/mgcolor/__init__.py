@@ -6,78 +6,47 @@ fan, flip a Kempe chain when the candidate color is blocked, and rotate the
 fan. Every structural lemma the argument relies on is available as an
 executable checker, and an exhaustive backtracking oracle provides exact
 chromatic indices for small instances.
+
+Every public name imports from here, but each module is imported on first
+use (PEP 562), so `import mgcolor` alone compiles none of them.
 """
 
-from .altpath import (
-    AltPath,
-    check_path,
-    invert,
-    is_inverted,
-    is_maximal_path,
-    maximal_path,
-)
-from .coloring import (
-    Color,
-    EdgeColoring,
-    Verdict,
-    Violation,
-    format_coloring,
-    parse_coloring,
-)
-from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan
-from .graph import (
-    FAMILIES,
-    Graph,
-    complete_graph,
-    cycle_graph,
-    format_dimacs,
-    gen_family,
-    gnp_graph,
-    parse_dimacs,
-    path_graph,
-    petersen_graph,
-    star_graph,
-)
-from .oracle import backtrack_color, exact_chromatic_index, verify_coloring
-from .vizing import StepTrace, extend_coloring, find_subfan, mk_edge_coloring
+# Each public name under the module that defines it; `errors` is exported
+# as the module itself.
+_PUBLIC = {
+    "altpath": (
+        "AltPath", "check_path", "invert", "is_inverted", "is_maximal_path",
+        "maximal_path",
+    ),
+    "coloring": ("Color", "EdgeColoring", "Verdict", "Violation"),
+    "errors": (),
+    "fan": ("Fan", "check_fan", "is_maximal_fan", "maximal_fan", "rotate_fan"),
+    "formats": ("format_coloring", "parse_coloring"),
+    "graph": (
+        "FAMILIES", "Graph", "complete_graph", "cycle_graph", "format_dimacs",
+        "gen_family", "gnp_graph", "parse_dimacs", "path_graph",
+        "petersen_graph", "star_graph",
+    ),
+    "oracle": ("backtrack_color", "exact_chromatic_index", "verify_coloring"),
+    "vizing": ("StepTrace", "extend_coloring", "find_subfan", "mk_edge_coloring"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-from . import errors
+__all__ = sorted([*_HOME, "errors"])
 
-__all__ = [
-    "AltPath",
-    "Color",
-    "EdgeColoring",
-    "FAMILIES",
-    "Fan",
-    "Graph",
-    "StepTrace",
-    "Verdict",
-    "Violation",
-    "backtrack_color",
-    "check_fan",
-    "check_path",
-    "complete_graph",
-    "cycle_graph",
-    "errors",
-    "exact_chromatic_index",
-    "extend_coloring",
-    "find_subfan",
-    "format_coloring",
-    "format_dimacs",
-    "gen_family",
-    "gnp_graph",
-    "invert",
-    "is_inverted",
-    "is_maximal_fan",
-    "is_maximal_path",
-    "maximal_fan",
-    "maximal_path",
-    "mk_edge_coloring",
-    "parse_coloring",
-    "parse_dimacs",
-    "path_graph",
-    "petersen_graph",
-    "rotate_fan",
-    "star_graph",
-    "verify_coloring",
-]
+
+def __getattr__(name: str) -> object:
+    # A submodule's name resolves to the submodule, as after an import.
+    module = _HOME.get(name, name)
+    if module not in _PUBLIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,6 +16,14 @@ and the coloring streams to its file as `format_coloring` produces it.
 `-o` and `--trace` naming the same file (after resolving the path) exits 2
 before coloring.
 
+Each command imports the modules only it runs inside its `cmd_*`
+function, so that, say, `gen` never compiles the coloring loop. `oracle`
+stays at module level: `--max-edges` takes its default from there. The
+file formats are imported through `coloring`, so that `coloring.py`, the
+largest module, compiles before the graph is read and before `formats`:
+in that order `color` and `check` peak no higher than when the package
+imported everything up front (README, "Memory").
+
 All randomness flows from --seed; no command reads wall-clock entropy, so
 identical invocations produce byte-identical files.
 """
@@ -28,13 +36,14 @@ import sys
 import time
 from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from .coloring import format_coloring, parse_coloring
 from .errors import BadParamsError, InputError, TooLargeError
 from .graph import FAMILIES, Graph, format_dimacs, gen_family, parse_dimacs
 from .oracle import DEFAULT_MAX_EDGES, exact_chromatic_index, verify_coloring
-from .vizing import StepTrace, mk_edge_coloring
+
+if TYPE_CHECKING:
+    from .vizing import StepTrace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -80,6 +89,9 @@ def _trace_writer(tr: TextIO, n: int) -> Callable[[StepTrace], object]:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
+    from .coloring import format_coloring
+    from .vizing import mk_edge_coloring
+
     if args.output and args.trace and (
         os.path.realpath(args.output) == os.path.realpath(args.trace)
     ):
@@ -100,6 +112,8 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .coloring import parse_coloring
+
     g = _load_graph(args.graph)
     coloring = parse_coloring(g, _read(args.coloring))
     verdict = verify_coloring(g, coloring)

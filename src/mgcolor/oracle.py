@@ -10,9 +10,13 @@ algorithm in any way.
 
 from __future__ import annotations
 
-from .coloring import EdgeColoring, Verdict
+from typing import TYPE_CHECKING
+
 from .errors import DimensionMismatchError, TooLargeError
 from .graph import Graph
+
+if TYPE_CHECKING:  # `cli` imports this module in every process
+    from .coloring import EdgeColoring, Verdict
 
 DEFAULT_MAX_EDGES = 25
 
@@ -43,6 +47,8 @@ def backtrack_color(
         raise TooLargeError(
             f"{m} edges exceeds the exact-search cap of {max_edges}"
         )
+    from .coloring import EdgeColoring
+
     if k < 1:
         return EdgeColoring(g, 1) if m == 0 else None
 

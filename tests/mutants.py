@@ -43,6 +43,9 @@ ONE_STEP = tuple(
     )
 )
 KERNELS = ("tests/test_kernels.py",)
+INVERT_EXAMPLE = (
+    "tests/test_kernels.py::test_invert_writes_both_orientations_and_moves_the_last_slots"
+)
 PARSERS = tuple(
     f"tests/test_fuzz.py::test_parse_{name}_matches_the_reference_parser"
     for name in ("dimacs", "coloring")
@@ -118,20 +121,55 @@ MUTANTS = (
            KERNELS),
     Mutant("uncolor-one-orientation", "coloring.py",
            "del cx[f], colors[f][x]", "del cx[f]",
-           KERNELS),
+           ("tests/test_kernels.py::test_uncoloring_clears_both_orientations",)),
     # The trusted inversion `kempe_swap`, and the setters' re-point.
     Mutant("kempe-swap-last-vertex-slots-kept", "coloring.py",
            "if ta:\n                nv[a] = -1\n            if tb:\n                nv[b] = -1",
            "if ta and v != seq[-1]:\n                nv[a] = -1\n"
            "            if tb and v != seq[-1]:\n                nv[b] = -1",
-           KERNELS),
+           (INVERT_EXAMPLE,)),
     Mutant("kempe-swap-one-orientation", "coloring.py",
            "colors[u][v] = colors[v][u] = col", "colors[u][v] = col",
-           KERNELS),
+           (INVERT_EXAMPLE,)),
     Mutant("store-skips-the-re-point", "coloring.py",
            "row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)",
            "pass",
            ("tests/test_coloring.py::test_lookups_survive_removing_one_of_two_equal_colors",)),
+    # The lemma checkers: one gone vacuous would pass whatever it is shown.
+    Mutant("check-fan-skips-the-free-color-test", "fan.py",
+           "if not coloring.is_free(seq[i], col):", "if False:",
+           ("tests/test_debug_checks.py::test_a_faulty_building_block_is_caught_at_its_step"
+            "[find_subfan-whole_fan-SubfanError-invalid after inversion]",)),
+    Mutant("check-fan-skips-the-uncolored-edge-test", "fan.py",
+           """        if col is None:
+            raise FanInvariantError(
+                f"fan edge ({x}, {seq[i + 1]}) is uncolored but not first"
+            )
+""",
+           """        if col is None:
+            continue
+""",
+           ("tests/test_fan.py::TestCheckFan::test_rejects_broken_color_property",)),
+    Mutant("is-maximal-fan-always-true", "fan.py",
+           "return not coloring.fan_extension(x, fan.last(), outside)", "return True",
+           ("tests/test_fan.py::TestMaximalFan::test_prefix_of_maximal_fan_not_maximal",)),
+    Mutant("check-path-skips-the-duplicate-test", "altpath.py",
+           "if len(set(seq)) != len(seq):\n        raise PathInvariantError",
+           "if False:\n        raise PathInvariantError",
+           ("tests/test_altpath.py::TestAlternates::test_a_walk_round_a_cycle_is_not_a_path",)),
+    Mutant("is-maximal-path-asks-for-the-wrong-color", "altpath.py",
+           "want = path.a if len(path.seq) % 2 else path.b",
+           "want = path.b if len(path.seq) % 2 else path.a",
+           ("tests/test_altpath.py::TestNextColor::test_base_cases",)),
+    Mutant("is-inverted-ignores-off-path-edges", "altpath.py",
+           "return before.changed_edges(after) <= expected.keys() and all(", "return all(",
+           ("tests/test_altpath.py::TestIsInverted::test_unrelated_edge_change_detected",)),
+    Mutant("is-proper-skips-duplicates", "coloring.py",
+           "if duplicate is None and x in row_seen:", "if False:",
+           ("tests/test_coloring.py::TestIsProper::test_duplicate_color_violation",)),
+    Mutant("violation-at-returns-none", "coloring.py",
+           "return None if verdict.proper else verdict.first_violation", "return None",
+           ("tests/test_debug_checks.py::test_local_verdict_equals_full_verdict_after_a_fault",)),
     # The single-pass parsers against the line-by-line reference parsers.
     Mutant("dimacs-duplicate-key-ignores-orientation", "graph.py",
            "key = u * n + v if u < v else v * n + u\n            if key in seen:",
@@ -153,7 +191,7 @@ MUTANTS = (
            "fields = line.split()\n        if not fields:",
            "fields = line.split()\n        if not fields or line[:1].isspace():",
            PARSERS),
-    Mutant("coloring-self-loop-and-zero-color-swapped", "coloring.py",
+    Mutant("coloring-self-loop-and-zero-color-swapped", "formats.py",
            """if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             if col < 1:

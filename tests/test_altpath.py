@@ -68,6 +68,16 @@ class TestAlternates:
         with pytest.raises(PathInvariantError):
             check_path(C, AltPath(0, 1, (0, 1)))
 
+    def test_a_walk_round_a_cycle_is_not_a_path(self):
+        # The 4-cycle colored 0, 1, 0, 1 alternates all the way round, so
+        # only the duplicate test rejects the walk back to its start.
+        C = EdgeColoring(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 2)
+        for u, v, color in ((0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1)):
+            C.set_edge_color(u, v, color)
+        check_path(C, AltPath(0, 1, (0, 1, 2, 3)))
+        with pytest.raises(PathInvariantError, match="has duplicates"):
+            check_path(C, AltPath(0, 1, (0, 1, 2, 3, 0)))
+
 
 class TestNextColor:
     """The next edge of a path with an odd number of vertices needs color a,

@@ -5,7 +5,12 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import mgcolor
 
@@ -87,6 +92,43 @@ def test_trace_targets_resolve():
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(attr)), label
+
+
+@pytest.mark.parametrize("first", ["formats", "coloring"])
+def test_the_format_functions_are_one_pair_whichever_module_loads_first(first):
+    # `coloring` imports `formats` at its end, so `formats` must not need
+    # a finished `coloring` at import time.
+    code = (
+        f"import mgcolor.{first}; from mgcolor import coloring, formats; "
+        "print(coloring.parse_coloring is formats.parse_coloring, "
+        "coloring.format_coloring is formats.format_coloring)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TRACING.parent.parent / "src")}
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split() == ["True", "True"]
+
+
+def test_a_color_run_loads_every_module_the_tracer_wraps(tmp_path):
+    # The CLI imports each command's modules on first use, and the tracer
+    # records a target whose module is not loaded when it installs as
+    # missing. The bench's first operation is an untraced `color`, so that
+    # run has to load every module the tracer wraps.
+    gfile = tmp_path / "g.gr"
+    gfile.write_text(mgcolor.format_dimacs(mgcolor.gnp_graph(12, 0.4, seed=1)))
+    code = f"""
+import importlib.util, sys
+from mgcolor import cli
+assert cli.main(["color", {str(gfile)!r}, "-o", {str(tmp_path / "g.col")!r}]) == 0
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+print(sorted({{modname for _, modname, _, _ in tracing.TARGETS}} - sys.modules.keys()))
+"""
+    env = {**os.environ, "PYTHONPATH": str(TRACING.parent.parent / "src")}
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "[]"  # after the summary line
 
 
 def test_the_loop_calls_each_building_block_by_its_bound_name(monkeypatch):

@@ -26,7 +26,7 @@ from mgcolor import (
     parse_dimacs,
     petersen_graph,
 )
-from mgcolor import cli
+from mgcolor import cli, vizing
 from mgcolor.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -95,7 +95,7 @@ class TestColor:
         self, tmp_path, k3_file, monkeypatch, capsys, flag
     ):
         calls = []
-        monkeypatch.setattr(cli, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(vizing, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
         bad = str(tmp_path / "no-such-dir" / "out")
         assert main(["color", k3_file, flag, bad]) == 2
         assert calls == []
@@ -107,7 +107,7 @@ class TestColor:
     ):
         # Two handles on one file would write the coloring over the trace.
         calls = []
-        monkeypatch.setattr(cli, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(vizing, "mk_edge_coloring", lambda *a, **kw: calls.append(a))
         monkeypatch.chdir(tmp_path)
         assert main(["color", k3_file, "-o", "same.out", "--trace", trace]) == 2
         assert calls == []
@@ -149,7 +149,7 @@ class TestColor:
             tracemalloc.reset_peak()
             return coloring
 
-        monkeypatch.setattr(cli, "mk_edge_coloring", colored)
+        monkeypatch.setattr(vizing, "mk_edge_coloring", colored)
         tracemalloc.start()
         try:
             assert main(["color", gfile, "-o", str(tmp_path / "g.col")]) == 0
@@ -336,6 +336,40 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert child.stdout.strip() == "[]"
+
+
+LOOP = {"mgcolor.vizing", "mgcolor.fan", "mgcolor.altpath"}
+FORMAT = {"mgcolor.coloring", "mgcolor.formats"}
+
+
+@pytest.mark.parametrize(
+    "command, loads, skips",
+    [
+        pytest.param(["color", "{g}", "-o", "{out}"], LOOP | FORMAT, set(), id="color"),
+        pytest.param(["check", "{g}", "{c}"], FORMAT, LOOP, id="check"),
+        pytest.param(["oracle", "{g}"], FORMAT, LOOP, id="oracle"),
+        pytest.param(["gen", "gnp", "20", "0.2"], {"mgcolor.graph"}, LOOP | FORMAT, id="gen"),
+        pytest.param(["stats", "{g}"], {"mgcolor.graph"}, LOOP | FORMAT, id="stats"),
+    ],
+)
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, loads, skips):
+    # Where no bytecode is cached, each `python -m mgcolor` process compiles
+    # every module it imports; `-X importtime` lists them on stderr.
+    files = {
+        "g": write(tmp_path / "p.gr", format_dimacs(petersen_graph())),
+        "c": write(tmp_path / "p.col", format_coloring(mk_edge_coloring(petersen_graph()))),
+        "out": str(tmp_path / "out.col"),
+    }
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mgcolor",
+         *(arg.format(**files) for arg in command)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr[-500:]
+    loaded = {line.rpartition("|")[2].strip() for line in child.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert loads <= loaded
+    assert not loaded & skips
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from mgcolor import (
     is_maximal_fan,
     maximal_fan,
     maximal_path,
+    path_graph,
     rotate_fan,
     star_graph,
 )
@@ -264,3 +265,29 @@ def test_rotation_keeps_a_slot_that_names_another_edge():
     got = outcome(rotate_fan, C, fan, 1)
     assert got == outcome(reference_rotate_fan, C, fan, 1)
     assert got[2][2][0] == 3
+
+
+def test_uncoloring_clears_both_orientations():
+    # Fixed examples beside the `@given` tests, so that a kill does not
+    # rest on random search. Uncoloring {0, 1} drops it from both rows.
+    C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
+    for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 2)):
+        C.set_edge_color(u, v, color)
+    got = after_write(EdgeColoring.assign, C, 0, 1, None)
+    assert got == after_write(reference_assign, C, 0, 1, None)
+    assert got[1] == [{2: 2}, {2: 1}, {1: 1, 0: 2}]
+
+
+def test_invert_writes_both_orientations_and_moves_the_last_slots():
+    # The path 0-1-2 colored 0, 1 is the maximal (0, 1)-path from 0. Its
+    # inversion writes each edge into both rows and moves the 0 and 1
+    # slots of every path vertex, the last one included.
+    C = EdgeColoring(path_graph(3), 3)
+    C.set_edge_color(0, 1, 0)
+    C.set_edge_color(1, 2, 1)
+    path = maximal_path(C, 0, 1, 0)
+    assert path.seq == (0, 1, 2)
+    got = after_write(invert, C, path)
+    assert got == after_write(reference_invert, C, path)
+    assert got[1] == [{1: 1}, {0: 1, 2: 0}, {1: 0}]
+    assert got[2] == [[-1, 1, -1], [2, 0, -1], [1, -1, -1]]
