@@ -10,6 +10,10 @@ contract for harnesses:
   4  internal error: an unexpected exception (a bug); the traceback goes
      to stderr
 
+`main` returns the code and never exits, so it can be called in process.
+A process, `python -m mgcolor` or the `mgcolor` command, enters through
+`mgcolor.__main__.run`.
+
 `color` reads its input, then opens `-o` and `--trace` before coloring, so
 a bad path exits 2 at once; the trace is written one JSON line per step,
 and the coloring streams to its file as `format_coloring` produces it.
@@ -249,7 +253,3 @@ def main(argv: list[str] | None = None) -> int:
 
         traceback.print_exc()
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,14 +8,15 @@ for a known survivor, the ids it passes with the reason. The tier-1 test
 
     python3 tests/mutants.py [NAME ...]
 
-For each mutant (or each one named) it copies `src/`, `tests/` and
-`pyproject.toml` to a temporary directory, applies the replacement there and
-runs the ids in a child `pytest` whose `PYTHONPATH` is the copy's `src`, with
-a fixed Hypothesis seed, an address-space cap and a time limit, so a kill
-that rests on random search is the same on every run and a mutant that
-loops cannot hang or exhaust the host. A run that fails, hits the cap or
-times out kills the mutant. The exit status is 1 when any verdict differs
-from the table.
+For each mutant (or each one named) it copies `src/`, `tests/`, `perfbench/`
+(which tests read, for the tracer's targets) and `pyproject.toml` to a
+temporary directory, applies the replacement to the copy of `src/` and runs
+the ids in a child `pytest` whose `PYTHONPATH` is the copy's `src`, with a
+fixed Hypothesis seed, an address-space cap and a time limit, so a kill that
+rests on random search is the same on every run and a mutant that loops
+cannot hang or exhaust the host. A run that fails, hits the cap or times out
+kills the mutant. The exit status is 1 when any verdict differs from the
+table.
 """
 
 from __future__ import annotations
@@ -201,6 +202,15 @@ MUTANTS = (
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)""",
            PARSERS),
+    # The coloring is written one vertex's lines at a time, never held whole.
+    Mutant("color-output-as-one-string", "formats.py",
+           "out.writelines(chunks)", 'out.write("".join(chunks))',
+           ("tests/test_cli.py::TestColor::test_output_streams_without_holding_a_copy",)),
+    # The process entry point: with stdout block-buffered, an exit that
+    # skips its flush loses what `main` printed.
+    Mutant("entry-skips-the-stdout-flush", "__main__.py",
+           "for stream in (sys.stdout, sys.stderr):", "for stream in (sys.stderr,):",
+           ("tests/test_cli.py::test_a_process_writes_what_main_writes_and_exits_with_its_code",)),
 )
 
 
@@ -218,7 +228,7 @@ def run_ids(m: Mutant, ids: tuple[str, ...]) -> tuple[bool, str]:
     """(passed, detail) of the ids on a copy of the tree with `m` applied."""
     with tempfile.TemporaryDirectory(prefix="mgcolor-mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,8 @@ from mgcolor import (
 from mgcolor import cli, vizing
 from mgcolor.cli import main
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def write(path, text):
@@ -370,6 +374,99 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, loads,
               if line.startswith("import time:")}
     assert loads <= loaded
     assert not loaded & skips
+
+
+def mgcolor_process(argv, stdout, **kwargs):
+    """`python -m mgcolor` on this tree, its stderr captured. The child's
+    stdout is block-buffered, as outside a test run: with `PYTHONUNBUFFERED`
+    set it would write each line at once, which hides a missing flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(SRC), COLUMNS="80")
+    return subprocess.run([sys.executable, "-m", "mgcolor", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        pytest.param(["check", "{g}", "{valid}"], 0, id="0-check-valid"),
+        pytest.param(["--help"], 0, id="0-help"),
+        pytest.param(["check", "{g}", "{clash}"], 1, id="1-check-clashing"),
+        pytest.param(["check", "{g}", "{missing}"], 2, id="2-missing-file"),
+        pytest.param(["oracle", "{g}", "--max-edges", "many"], 2, id="2-usage-error"),
+        pytest.param(["oracle", "{k9}"], 3, id="3-oracle-over-the-cap"),
+    ],
+)
+def test_a_process_writes_what_main_writes_and_exits_with_its_code(
+    tmp_path, monkeypatch, k3_file, command, code
+):
+    # Whatever ends the process, the bytes and the exit code are those of
+    # `cli.main` run in process; argparse's usage errors and `--help` exit
+    # from inside it. COLUMNS fixes the width argparse wraps help to.
+    files = {
+        "g": k3_file,
+        "valid": write(tmp_path / "k3.col", format_coloring(mk_edge_coloring(complete_graph(3)))),
+        "clash": write(tmp_path / "clash.col", "s 3 3 3 2\ne 1 2 1\ne 1 3 1\ne 2 3 2\n"),
+        "missing": str(tmp_path / "nope.col"),
+        "k9": write(tmp_path / "k9.gr", format_dimacs(complete_graph(9))),
+    }
+    argv = [arg.format(**files) for arg in command]
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+    assert out.getvalue() or err.getvalue()
+    with open(tmp_path / "stdout", "wb") as fh:
+        child = mgcolor_process(argv, fh)
+    assert child.returncode == code
+    assert (tmp_path / "stdout").read_bytes() == out.getvalue().encode()
+    assert child.stderr == err.getvalue().encode()
+
+
+def pipe_with_no_reader():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return open(write_end, "wb")
+
+
+@pytest.mark.parametrize(
+    "sink, error",
+    [
+        pytest.param(
+            partial(open, "/dev/full", "wb"), "OSError: [Errno 28] No space left on device",
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full"),
+            id="full-device",
+        ),
+        pytest.param(pipe_with_no_reader, "BrokenPipeError: [Errno 32] Broken pipe",
+                     id="pipe-with-no-reader"),
+    ],
+)
+def test_unflushable_stdout_exits_120_with_the_interpreter_message(k3_file, sink, error):
+    # The output cannot be flushed; the interpreter reports that once, with
+    # no traceback, and exits 120.
+    with sink() as stdout:
+        child = mgcolor_process(["stats", k3_file], stdout)
+    assert child.returncode == 120
+    first, second = child.stderr.decode().splitlines()
+    assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert second == error
+
+
+def test_closed_stdout_exits_0(k3_file):
+    # `mgcolor stats g >&-`: the interpreter starts with `sys.stdout` None.
+    child = mgcolor_process(["stats", k3_file], None, preexec_fn=partial(os.close, 1))
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
+def test_the_console_script_runs_what_python_m_mgcolor_runs():
+    # `tomllib` needs Python 3.11, so pyproject.toml is read as text.
+    scripts = (ROOT / "pyproject.toml").read_text().split("\n[project.scripts]\n")[1]
+    assert scripts.startswith('mgcolor = "mgcolor.__main__:run"\n')
+    main_py = (SRC / "mgcolor" / "__main__.py").read_text()
+    assert main_py.endswith('\nif __name__ == "__main__":\n    run()\n')
 
 
 @pytest.mark.parametrize(
