@@ -14,10 +14,7 @@ use (PEP 562), so `import mgcolor` alone compiles none of them.
 # Each public name under the module that defines it; `errors` is exported
 # as the module itself.
 _PUBLIC = {
-    "altpath": (
-        "AltPath", "check_path", "invert", "is_inverted", "is_maximal_path",
-        "maximal_path",
-    ),
+    "altpath": ("AltPath", "check_path", "invert", "is_maximal_path", "maximal_path"),
     "coloring": ("Color", "EdgeColoring", "Verdict", "Violation"),
     "errors": (),
     "fan": ("Fan", "check_fan", "is_maximal_fan", "maximal_fan", "rotate_fan"),

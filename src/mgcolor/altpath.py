@@ -8,16 +8,17 @@ proper and swaps which of the two colors is free at x.
 `maximal_path` checks its call preconditions only, then makes one trusted
 `EdgeColoring.kempe_walk`; `invert` has none and is one trusted
 `EdgeColoring.kempe_swap`. `extend_coloring(debug=True)` runs the path
-checkers on the paths it builds and inverts.
+checkers on the paths it builds and inverts; it checks an inversion as
+`check_path` of the path with a and b swapped plus `violation_at` of its
+vertices.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coloring import Color, EdgeColoring
+from .coloring import EdgeColoring
 from .errors import PathInvariantError, PreconditionError
-from .graph import Edge
 
 
 class AltPath(NamedTuple):
@@ -93,25 +94,3 @@ def invert(coloring: EdgeColoring, path: AltPath) -> None:
     """
     coloring.kempe_swap(path.seq, path.a, path.b)
 
-
-def is_inverted(
-    before: EdgeColoring, after: EdgeColoring, path: AltPath
-) -> bool:
-    """Check that `after` is `before` with a and b swapped along `path`.
-
-    Each path edge colored a must now be b and each one colored b must now
-    be a (once per time the path crosses it); every other edge, on the path
-    or off it, must keep its color.
-    """
-    if before.graph.n != after.graph.n or before.palette != after.palette:
-        return False
-    swap = {path.a: path.b, path.b: path.a}
-    expected: dict[Edge, Color] = {}
-    seq = path.seq
-    for i in range(len(seq) - 1):
-        u, v = sorted(seq[i : i + 2])
-        old = expected.get((u, v), before.color_of(u, v))
-        expected[(u, v)] = swap.get(old, old)
-    return before.changed_edges(after) <= expected.keys() and all(
-        after.color_of(u, v) == col for (u, v), col in expected.items()
-    )

@@ -15,7 +15,8 @@ A process, `python -m mgcolor` or the `mgcolor` command, enters through
 `mgcolor.__main__.run`.
 
 `color` reads its input, then opens `-o` and `--trace` before coloring, so
-a bad path exits 2 at once; the trace is written one JSON line per step,
+a bad path exits 2 at once, as does a closed stdout when `color` or `gen`
+has no `-o` to write to; the trace is written one JSON line per step,
 and the coloring streams to its file as `format_coloring` produces it.
 `-o` and `--trace` naming the same file (after resolving the path) exits 2
 before coloring.
@@ -61,9 +62,16 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _open_out(path: str | None, default: TextIO | None) -> AbstractContextManager:
-    """`path` opened for writing, or `default` (left open) when there is none."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext(default)
+def _open_out(path: str | None) -> AbstractContextManager:
+    """`path` opened for writing, or stdout (left open) when there is none.
+
+    Stdout is None when the process started with descriptor 1 closed.
+    """
+    if path:
+        return open(path, "w", encoding="utf-8")
+    if sys.stdout is None:
+        raise BadParamsError("stdout is closed; name an output file with -o")
+    return nullcontext(sys.stdout)
 
 
 def _load_graph(path: str) -> Graph:
@@ -101,7 +109,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     ):
         raise BadParamsError(f"-o and --trace name the same file: {args.trace}")
     g = _load_graph(args.input)
-    with _open_out(args.output, sys.stdout) as out, _open_out(args.trace, None) as tr:
+    with _open_out(args.output) as out, (
+        open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext()
+    ) as tr:
         on_step = _trace_writer(tr, g.n) if tr else None
         t0 = time.perf_counter()
         coloring = mk_edge_coloring(g, debug=args.debug_checks, on_step=on_step)
@@ -140,7 +150,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = _build_family(args.family, args.params, args.seed)
-    with _open_out(args.output, sys.stdout) as out:
+    with _open_out(args.output) as out:
         out.write(format_dimacs(g))
     return EXIT_OK
 

@@ -12,9 +12,12 @@ The table covers the colors below min(palette, max_degree + 1). A proper
 coloring never needs more, and a palette read from a file cannot make it
 larger; colors beyond it are answered from the edge map.
 
-`set_edge_color` mutates the coloring in place; the previous logical value
-is gone afterwards. Use `copy()` first wherever a before/after comparison
-is needed (the invariant checkers treat colorings as values).
+Each write rule has one entry point: `set_edge_color` validates the edge
+and the color, then stores it through the private `_store`; the trusted
+kernels `shift_fan` (fan rotation) and `kempe_swap` (path inversion)
+validate nothing. All of them write in place, so the previous value is
+gone afterwards; take a `copy()` first where a before/after comparison is
+needed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .errors import (
     InvalidColorError,
     InvariantError,
     NotAnEdgeError,
-    SelfLoopError,
     VertexRangeError,
 )
 from .graph import Edge, Graph
@@ -218,30 +220,6 @@ class EdgeColoring:
                 )
         self._store(u, v, color)
 
-    def set_edge_color_unchecked(self, u: int, v: int, color: Color) -> None:
-        """Write a color with no edge or properness validation.
-
-        For callers and tests that need to materialize deliberately invalid
-        states for the full-scan checker. Indices must still be in range,
-        and u != v.
-        """
-        self.color_of(u, v)  # range-checks both ends
-        if u == v:
-            raise SelfLoopError(u)
-        self._store(u, v, color)
-
-    def assign(self, u: int, v: int, color: Color) -> Color:
-        """Trusted write of edge {u, v}; returns the color it replaced.
-
-        The one-edge case of `shift_fan`, for the setters: nothing is
-        validated, so the caller has proved that {u, v} is an edge and
-        `color` is None or free on both endpoints. Library callers want
-        `set_edge_color`.
-        """
-        old = self._colors[u].get(v)
-        self.shift_fan(u, (v,), color)
-        return old
-
     def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
         """Trusted rotation around x: {x, seq[i]} takes the color of
         {x, seq[i + 1]} and {x, seq[-1]} takes `color`, each edge in turn
@@ -313,9 +291,11 @@ class EdgeColoring:
             u, nu, col, other = v, nv, other, col
 
     def _store(self, u: int, v: int, color: Color) -> None:
-        """`assign`, then re-point the table at any other edge still
-        carrying the replaced color (only improper states have one)."""
-        old = self.assign(u, v, color)
+        """Write edge {u, v} as the one-edge `shift_fan`, then re-point the
+        table at any other edge still carrying the replaced color (only
+        improper states have one). Validates nothing."""
+        old = self._colors[u].get(v)
+        self.shift_fan(u, (v,), color)
         for w in (u, v):
             row = self._nbr[w]
             if old is not None and 0 <= old < len(row) and row[old] < 0:
@@ -337,7 +317,7 @@ class EdgeColoring:
         """Full check of every invariant against the graph.
 
         Reads each vertex's colored edges, never the table, so it also
-        diagnoses states produced by `set_edge_color_unchecked`. Set
+        diagnoses improper states, such as `parse_coloring` may load. Set
         operations decide in O(degree) whether a vertex's colors are
         distinct and its colored neighbors are graph neighbors; only a
         vertex that fails is walked in sorted order, O(degree log degree).
@@ -410,19 +390,6 @@ class EdgeColoring:
                 verdict = self.is_proper()
                 return None if verdict.proper else verdict.first_violation
         return None
-
-    def changed_edges(self, other: EdgeColoring) -> set[Edge]:
-        """Pairs (u, v), u < v, colored differently in `other`.
-
-        `other` must color a graph on the same vertices. Colored non-edges
-        count too; vertices whose colored edges match are skipped at once.
-        """
-        changed: set[Edge] = set()
-        for u, (mine, theirs) in enumerate(zip(self._colors, other._colors)):
-            if mine != theirs:
-                changed.update((u, v) for v in mine.keys() | theirs.keys()
-                               if v > u and mine.get(v) != theirs.get(v))
-        return changed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):

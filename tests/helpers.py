@@ -1,6 +1,12 @@
 """Shared builders for randomized tests.
 
 Everything here is seeded by the caller, so test runs are reproducible.
+`set_edge_color_unchecked` writes a color through the setters' private
+`_store` with no edge or properness check, to build the deliberately
+invalid states the full-scan checkers must diagnose. `is_inverted` is the
+inversion lemma as a before/after comparison of two colorings, with
+`changed_edges` the diff of their edge maps; the debug loop checks an
+inversion more cheaply, so these serve only as the tests' reference.
 `rotate_fan_direct` is the independent shift-then-color formulation of fan
 rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
@@ -11,10 +17,12 @@ that builds every line before joining them, whose bytes `format_coloring`
 must match in both its forms. `reference_maximal_fan`,
 `reference_rotate_fan` and `reference_maximal_path` are the building
 blocks as they were before each became one `EdgeColoring` kernel call: one
-first-match scan per fan extension, one `assign` per rotated edge, one
-`neighbor` lookup per path vertex. `reference_assign` pops the edge and
-inserts it again with its new color; `assign` and `shift_fan`, which write
-in place, must leave the same state. `free_colors_on` lists a vertex's free
+first-match scan per fan extension, one `reference_assign` per rotated
+edge, one `neighbor` lookup per path vertex. `reference_assign` pops the
+edge from the private maps and inserts it again with its new color; the
+kernels, which write in place, must leave the same state.
+`reference_rotate_fan` and `reference_parse_coloring` write through it,
+not through the code they check. `free_colors_on` lists a vertex's free
 colors through the public `is_free`. The building blocks check nothing
 themselves, so the `checked_*` wrappers run the lemma checkers around each
 one, as `extend_coloring(debug=True)` does.
@@ -26,6 +34,7 @@ import random
 
 from mgcolor import (
     AltPath,
+    Color,
     EdgeColoring,
     Fan,
     Graph,
@@ -35,7 +44,6 @@ from mgcolor import (
     check_path,
     gnp_graph,
     invert,
-    is_inverted,
     is_maximal_fan,
     is_maximal_path,
     maximal_fan,
@@ -49,8 +57,56 @@ from mgcolor.errors import (
     NotAnEdgeError,
     ParseError,
     PreconditionError,
+    SelfLoopError,
 )
 from mgcolor.graph import _int_field
+
+
+def set_edge_color_unchecked(coloring: EdgeColoring, u: int, v: int, color: Color) -> None:
+    """Write a color with no edge or properness validation.
+
+    Materializes deliberately invalid states for the full-scan checker.
+    Indices must still be in range, and u != v.
+    """
+    coloring.color_of(u, v)  # range-checks both ends
+    if u == v:
+        raise SelfLoopError(u)
+    coloring._store(u, v, color)
+
+
+def changed_edges(before: EdgeColoring, after: EdgeColoring) -> set[tuple[int, int]]:
+    """Pairs (u, v), u < v, colored differently in `after`.
+
+    `after` must color a graph on the same vertices. Colored non-edges
+    count too; vertices whose colored edges match are skipped at once.
+    """
+    changed: set[tuple[int, int]] = set()
+    for u, (mine, theirs) in enumerate(zip(before._colors, after._colors)):
+        if mine != theirs:
+            changed.update((u, v) for v in mine.keys() | theirs.keys()
+                           if v > u and mine.get(v) != theirs.get(v))
+    return changed
+
+
+def is_inverted(before: EdgeColoring, after: EdgeColoring, path: AltPath) -> bool:
+    """Check that `after` is `before` with a and b swapped along `path`.
+
+    Each path edge colored a must now be b and each one colored b must now
+    be a (once per time the path crosses it); every other edge, on the path
+    or off it, must keep its color.
+    """
+    if before.graph.n != after.graph.n or before.palette != after.palette:
+        return False
+    swap = {path.a: path.b, path.b: path.a}
+    expected: dict[tuple[int, int], Color] = {}
+    seq = path.seq
+    for i in range(len(seq) - 1):
+        u, v = sorted(seq[i : i + 2])
+        old = expected.get((u, v), before.color_of(u, v))
+        expected[(u, v)] = swap.get(old, old)
+    return changed_edges(before, after) <= expected.keys() and all(
+        after.color_of(u, v) == col for (u, v), col in expected.items()
+    )
 
 
 def rand_graph(rng: random.Random, n_max: int = 10) -> Graph:
@@ -296,7 +352,7 @@ def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:
                 raise ParseError("colors are 1-based and must be >= 1", lineno)
             if coloring.color_of(u - 1, v - 1) is not None:
                 raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
-            coloring.assign(u - 1, v - 1, col - 1)
+            reference_assign(coloring, u - 1, v - 1, col - 1)
         else:
             raise ParseError(f"unknown line type {fields[0]!r}", lineno)
     if coloring is None:
@@ -344,7 +400,7 @@ def reference_fan_candidate(
 
 
 def reference_rotate_fan(coloring: EdgeColoring, fan: Fan, color: int | None) -> None:
-    """Reference `rotate_fan`: one trusted `assign` per edge, from the back."""
+    """Reference `rotate_fan`: one `reference_assign` per edge, from the back."""
     x = fan.center
     seq = fan.seq
     if not seq:
@@ -355,14 +411,15 @@ def reference_rotate_fan(coloring: EdgeColoring, fan: Fan, color: int | None) ->
         )
     carry = color
     for f in reversed(seq):
-        carry = coloring.assign(x, f, carry)
+        carry = reference_assign(coloring, x, f, carry)
 
 
 def reference_assign(
     coloring: EdgeColoring, u: int, v: int, color: int | None
 ) -> int | None:
-    """Reference `assign`: pop {u, v} from both edge maps, clear the table
-    slots that still name it, then insert it again when `color` is not None."""
+    """Reference one-edge write, returning the color it replaced: pop {u, v}
+    from both edge maps, clear the table slots that still name it, then
+    insert it again when `color` is not None."""
     cu, cv = coloring._colors[u], coloring._colors[v]
     nu, nv = coloring._nbr[u], coloring._nbr[v]
     old = cu.pop(v, None)

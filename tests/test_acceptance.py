@@ -21,7 +21,6 @@ from mgcolor import (
     format_dimacs,
     gnp_graph,
     invert,
-    is_inverted,
     is_maximal_fan,
     is_maximal_path,
     maximal_fan,
@@ -36,6 +35,7 @@ from mgcolor import (
 from mgcolor.cli import main
 from tests.helpers import (
     free_colors_on,
+    is_inverted,
     pick_rotation_color,
     rand_proper_coloring,
     rotate_fan_direct,

@@ -14,7 +14,6 @@ from mgcolor import (
     Graph,
     check_path,
     invert,
-    is_inverted,
     is_maximal_path,
     maximal_path,
     path_graph,
@@ -24,8 +23,10 @@ from tests.helpers import (
     checked_invert,
     checked_maximal_path,
     free_colors_on,
+    is_inverted,
     rand_graph,
     rand_proper_coloring,
+    set_edge_color_unchecked,
 )
 
 
@@ -58,7 +59,7 @@ class TestAlternates:
         good = alternating_path(3, 0, 1, 3)
         check_path(good, AltPath(0, 1, (0, 1, 2)))
         bad = alternating_path(3, 0, 1, 3)
-        bad.set_edge_color_unchecked(1, 2, 0)
+        set_edge_color_unchecked(bad, 1, 2, 0)
         with pytest.raises(PathInvariantError):
             check_path(bad, AltPath(0, 1, (0, 1, 2)))
 
@@ -105,7 +106,7 @@ class TestNextColor:
         assert not is_maximal_path(C, AltPath(a, b, seq))
         check_path(C, extended)
         assert is_maximal_path(C, extended)
-        C.set_edge_color_unchecked(length - 1, length, a if nxt == b else b)
+        set_edge_color_unchecked(C, length - 1, length, a if nxt == b else b)
         with pytest.raises(PathInvariantError):
             check_path(C, extended)
 
@@ -147,9 +148,9 @@ class TestNextVertex:
         # Only an improper coloring can lead the walk back onto the path:
         # 0 -a- 1 -b- 2 -a- 0 gives vertex 0 two a-edges.
         C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (2, 0)]), 3)
-        C.set_edge_color_unchecked(0, 1, 0)
-        C.set_edge_color_unchecked(1, 2, 1)
-        C.set_edge_color_unchecked(2, 0, 0)
+        set_edge_color_unchecked(C, 0, 1, 0)
+        set_edge_color_unchecked(C, 1, 2, 1)
+        set_edge_color_unchecked(C, 2, 0, 0)
         with pytest.raises(InvariantError):
             maximal_path(C, 0, 1, 0)
 

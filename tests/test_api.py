@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -38,7 +39,6 @@ PUBLIC = [
     "gen_family",
     "gnp_graph",
     "invert",
-    "is_inverted",
     "is_maximal_fan",
     "is_maximal_path",
     "maximal_fan",
@@ -58,11 +58,34 @@ TAKES_DEBUG = ["extend_coloring", "mk_edge_coloring"]
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
+# Functions that no code in `src/` refers to, each with its reason.
+NO_SRC_CALLER = {
+    # perfbench/tracing.py wraps `EdgeColoring.copy` for `coloring.copy.s`.
+    "copy",
+}
+
 
 def test_public_names():
     assert sorted(mgcolor.__all__) == sorted(PUBLIC)
     for name in mgcolor.__all__:
         assert getattr(mgcolor, name) is not None
+
+
+def test_every_function_in_src_is_referred_to_in_src():
+    # A helper only tests call belongs in the tests. A reference is a name
+    # or an attribute in code; a function's own `def` is neither, and a
+    # string such as an export list does not count.
+    defined, referred = set(), set()
+    for path in Path(mgcolor.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    dunder = {name for name in defined if name.startswith("__") and name.endswith("__")}
+    assert sorted(defined - dunder - referred) == sorted(NO_SRC_CALLER)
 
 
 def test_only_the_main_loop_takes_debug():

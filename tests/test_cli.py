@@ -455,10 +455,30 @@ def test_unflushable_stdout_exits_120_with_the_interpreter_message(k3_file, sink
     assert second == error
 
 
-def test_closed_stdout_exits_0(k3_file):
+CLOSED = b"error: stdout is closed; name an output file with -o\n"
+
+
+@pytest.mark.parametrize(
+    "command, code, stderr",
+    [
+        pytest.param(["stats", "{g}"], 0, b"", id="0-stats"),
+        pytest.param(["color", "{g}", "-o", "{col}"], 0, b"", id="0-color-to-a-file"),
+        pytest.param(["color", "{g}", "--trace", "{trace}"], 2, CLOSED, id="2-color"),
+        pytest.param(["gen", "petersen"], 2, CLOSED, id="2-gen"),
+    ],
+)
+def test_closed_stdout_exit_codes(tmp_path, k3_file, command, code, stderr):
     # `mgcolor stats g >&-`: the interpreter starts with `sys.stdout` None.
-    child = mgcolor_process(["stats", k3_file], None, preexec_fn=partial(os.close, 1))
-    assert (child.returncode, child.stderr) == (0, b"")
+    # A command that would write its output there exits 2 before any work,
+    # so not even the trace is opened.
+    files = {"g": k3_file, "col": tmp_path / "k3.col", "trace": tmp_path / "k3.jsonl"}
+    argv = [arg.format(**files) for arg in command]
+    child = mgcolor_process(argv, None, preexec_fn=partial(os.close, 1))
+    assert (child.returncode, child.stderr) == (code, stderr)
+    assert not files["trace"].exists()
+    if "-o" in command:
+        want = format_coloring(mk_edge_coloring(complete_graph(3)))
+        assert files["col"].read_text() == want
 
 
 def test_the_console_script_runs_what_python_m_mgcolor_runs():

@@ -37,6 +37,7 @@ from tests.helpers import (
     rand_graph,
     rand_proper_coloring,
     reference_format_coloring,
+    set_edge_color_unchecked,
 )
 
 
@@ -195,8 +196,8 @@ class TestIsProper:
 
     def test_duplicate_color_violation(self):
         C = k3_coloring()
-        C.set_edge_color_unchecked(0, 1, 0)
-        C.set_edge_color_unchecked(0, 2, 0)
+        set_edge_color_unchecked(C, 0, 1, 0)
+        set_edge_color_unchecked(C, 0, 2, 0)
         verdict = C.is_proper()
         assert not verdict.proper
         assert verdict.first_violation.kind == "duplicate_color"
@@ -204,14 +205,14 @@ class TestIsProper:
 
     def test_non_edge_violation(self):
         C = EdgeColoring(path_graph(3), 3)
-        C.set_edge_color_unchecked(0, 2, 1)
+        set_edge_color_unchecked(C, 0, 2, 1)
         verdict = C.is_proper()
         assert not verdict.proper
         assert verdict.first_violation.kind == "non_edge"
 
     def test_bound_violation(self):
         C = k3_coloring(palette=2)
-        C.set_edge_color_unchecked(0, 1, 5)
+        set_edge_color_unchecked(C, 0, 1, 5)
         C.set_edge_color(0, 2, 1)
         C.set_edge_color(1, 2, 0)
         verdict = C.is_proper()
@@ -344,7 +345,7 @@ def unchecked_states(draw):
         st.booleans(),
     )
     for (u, v), col, flip in draw(st.lists(ops, max_size=25)):
-        C.set_edge_color_unchecked(*((v, u) if flip else (u, v)), col)
+        set_edge_color_unchecked(C, *((v, u) if flip else (u, v)), col)
     return C
 
 
@@ -368,14 +369,14 @@ def verdict_states(draw):
     dropped = draw(st.sets(st.sampled_from(edges))) if edges else set()
     for u, v in edges:
         if (u, v) not in dropped:
-            C.set_edge_color_unchecked(u, v, full.color_of(u, v))
+            set_edge_color_unchecked(C, u, v, full.color_of(u, v))
     ops = st.tuples(
         st.sampled_from(possible),
         st.one_of(st.none(), st.integers(-1, C.palette + 1)),
         st.booleans(),
     )
     for (u, v), col, flip in draw(st.lists(ops, max_size=6)):
-        C.set_edge_color_unchecked(*((v, u) if flip else (u, v)), col)
+        set_edge_color_unchecked(C, *((v, u) if flip else (u, v)), col)
     return C
 
 
@@ -396,9 +397,9 @@ def test_streamed_and_string_forms_match_the_reference(C: EdgeColoring):
 
 def test_lookups_survive_removing_one_of_two_equal_colors():
     C = EdgeColoring(Graph(3, [(0, 1), (0, 2)]), 3)
-    C.set_edge_color_unchecked(0, 1, 0)
-    C.set_edge_color_unchecked(0, 2, 0)
-    C.set_edge_color_unchecked(0, 2, None)
+    set_edge_color_unchecked(C, 0, 1, 0)
+    set_edge_color_unchecked(C, 0, 2, 0)
+    set_edge_color_unchecked(C, 0, 2, None)
     assert C.neighbor(0, 0) == 1
     assert not C.is_free(0, 0)
     assert C.min_free_color(0) == 1
@@ -416,8 +417,8 @@ def test_min_free_color_beyond_the_table():
     # Colored non-edges (loaded from a file or written unchecked) can fill
     # a row with free palette colors left beyond it.
     C = EdgeColoring(Graph(3, [(0, 1)]), 4)
-    C.set_edge_color_unchecked(0, 2, 0)
-    C.set_edge_color_unchecked(0, 1, 1)
+    set_edge_color_unchecked(C, 0, 2, 0)
+    set_edge_color_unchecked(C, 0, 1, 1)
     assert C.min_free_color(0) == 2
     assert_lookups_match_edge_colors(C)
 

@@ -41,7 +41,7 @@ from mgcolor.errors import (
     PreconditionError,
     SubfanError,
 )
-from tests.helpers import rand_proper_coloring, uncolored_edges
+from tests.helpers import rand_proper_coloring, set_edge_color_unchecked, uncolored_edges
 
 
 @given(st.integers(0, 2**32), st.integers(0, 12), st.data())
@@ -54,7 +54,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     g = gnp_graph(rng.randint(3, 9), p, rng.randrange(2**63))
     C = rand_proper_coloring(rng, g)
     edges = uncolored_edges(C)
-    real_assign = EdgeColoring.assign
+    real_store = EdgeColoring._store
     real_shift_fan = EdgeColoring.shift_fan
     real_kempe_swap = EdgeColoring.kempe_swap
     real_violation_at = EdgeColoring.violation_at
@@ -62,17 +62,17 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     calls = 0
     injected = None
 
-    def assign(self, u, v, color):
+    def store(self, u, v, color):
         written.update((u, v))
-        return real_assign(self, u, v, color)
+        return real_store(self, u, v, color)
 
     def shift_fan(self, x, seq, color):
-        # A rotation writes rows x and seq without going through `assign`.
+        # A rotation writes rows x and seq without going through `_store`.
         written.update((x, *seq))
         return real_shift_fan(self, x, seq, color)
 
     def kempe_swap(self, seq, a, b):
-        # An inversion writes the rows of its path without going through `assign`.
+        # An inversion writes the rows of its path without going through `_store`.
         written.update(seq)
         return real_kempe_swap(self, seq, a, b)
 
@@ -86,7 +86,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
             colors = st.integers(0, self.palette - 1)
             if present:
                 colors = st.one_of(st.sampled_from(present), colors)
-            self.set_edge_color_unchecked(p, q, data.draw(colors))
+            set_edge_color_unchecked(self, p, q, data.draw(colors))
             injected = self.is_proper()
         calls += 1
         written.clear()
@@ -95,7 +95,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
         assert local == (None if full.proper else full.first_violation)
         return local
 
-    with mock.patch.object(EdgeColoring, "assign", assign), \
+    with mock.patch.object(EdgeColoring, "_store", store), \
             mock.patch.object(EdgeColoring, "shift_fan", shift_fan), \
             mock.patch.object(EdgeColoring, "kempe_swap", kempe_swap), \
             mock.patch.object(EdgeColoring, "violation_at", violation_at):
@@ -117,15 +117,15 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
 
 
 def test_fault_after_the_last_step_is_reported_by_the_final_scan():
-    # A write around `assign` is not journaled, so no step check sees it;
-    # the full scan after the last step does.
+    # A write from outside the loop is not journaled, so no step check sees
+    # it; the full scan after the last step does.
     g = path_graph(5)
     C = EdgeColoring(g, 3)
     edges = g.edge_set()
 
     def on_step(step):
         if step.colored_after == len(edges):
-            C.set_edge_color_unchecked(0, 1, C.color_of(1, 2))
+            set_edge_color_unchecked(C, 0, 1, C.color_of(1, 2))
 
     with pytest.raises(InvariantError, match=re.escape(
             "not proper after the last step: duplicate_color edge (1, 2) vertex 1")):
@@ -150,7 +150,7 @@ def test_a_step_that_colors_a_pending_edge_is_caught(edges):
 
 
 def test_debug_run_makes_two_full_scans_and_no_copies(monkeypatch):
-    counts = {"is_proper": 0, "copy": 0, "changed_edges": 0}
+    counts = {"is_proper": 0, "copy": 0}
     for name in counts:
         real = getattr(EdgeColoring, name)
 
@@ -161,7 +161,7 @@ def test_debug_run_makes_two_full_scans_and_no_copies(monkeypatch):
         monkeypatch.setattr(EdgeColoring, name, counted)
     g = gnp_graph(120, 0.1, seed=1)
     C = mk_edge_coloring(g, debug=True)
-    assert counts == {"is_proper": 2, "copy": 0, "changed_edges": 0}
+    assert counts == {"is_proper": 2, "copy": 0}
     assert C.count_colored() == g.m
 
 

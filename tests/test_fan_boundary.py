@@ -14,6 +14,7 @@ from mgcolor.errors import (
     PreconditionError,
     VertexRangeError,
 )
+from tests.helpers import set_edge_color_unchecked
 
 N = 4
 
@@ -61,7 +62,7 @@ def test_maximal_fan_rejects_a_colored_edge():
 def test_maximal_fan_tests_adjacency_before_the_color():
     # A colored non-edge, which only the unchecked setter can make.
     C = colored_path()
-    C.set_edge_color_unchecked(0, 3, 1)
+    set_edge_color_unchecked(C, 0, 3, 1)
     assert raised(maximal_fan, C, 0, 3) == (
         NotAnEdgeError, "(0, 3) is not an edge of the graph")
 

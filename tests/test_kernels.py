@@ -7,11 +7,12 @@ each make one kernel call (`fan_extension`, `shift_fan`, `kempe_walk`,
 error, and leave the same coloring behind. States include proper ones with
 palettes above Δ+1 that use colors beyond the table, and improper ones
 written with the unchecked setter. Rows are compared as neighbor→color
-maps: the order of a row's keys is not behaviour. The trusted writes
-`assign`, `shift_fan` and `kempe_swap`, which overwrite a recolored edge in
-place, are held to `reference_assign`, which pops it and inserts it again:
-the first two on the same states, and `kempe_swap`, through `invert`, on
-maximal paths of proper states, the inversion lemma's premises.
+maps: the order of a row's keys is not behaviour. The writes `_store`,
+`shift_fan` and `kempe_swap`, which overwrite a recolored edge in place,
+are held to `reference_assign`, which pops it and inserts it again: the
+first two on the same states (`_store` with its re-point of the replaced
+color's slots), and `kempe_swap`, through `invert`, on maximal paths of
+proper states, the inversion lemma's premises.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from tests.helpers import (
     reference_maximal_fan,
     reference_maximal_path,
     reference_rotate_fan,
+    set_edge_color_unchecked,
 )
 from tests.test_coloring import unchecked_states, verdict_states
 
@@ -155,16 +157,27 @@ def reference_shift_fan(C: EdgeColoring, x: int, seq, color):
         carry = reference_assign(C, x, f, carry)
 
 
+def reference_store(C: EdgeColoring, u: int, v: int, color):
+    """Reference `_store`: `reference_assign`, then an endpoint slot of the
+    replaced color left empty names the first other edge there that still
+    carries it (only improper states have one)."""
+    old = reference_assign(C, u, v, color)
+    for w in (u, v):
+        row = C._nbr[w]
+        if old is not None and 0 <= old < len(row) and row[old] < 0:
+            row[old] = next((z for z, c in C._colors[w].items() if c == old), -1)
+
+
 @given(states, st.data())
 @settings(max_examples=300, deadline=None)
-def test_assign_matches_the_pop_and_insert_reference(C, data):
+def test_store_matches_the_pop_and_insert_reference(C, data):
     n = C.graph.n
     u = data.draw(st.integers(0, n - 1))
     others = [v for v in range(n) if v != u]
     v = data.draw(st.sampled_from(C.graph.adj[u] or others) | st.sampled_from(others))
     color = colors_for(data, C, u)
-    got = after_write(EdgeColoring.assign, C, u, v, color)
-    assert got == after_write(reference_assign, C, u, v, color)
+    got = after_write(EdgeColoring._store, C, u, v, color)
+    assert got == after_write(reference_store, C, u, v, color)
 
 
 @given(states, st.data())
@@ -232,22 +245,24 @@ def test_each_fan_extension_is_the_first_match_of_a_fresh_scan():
     assert_same(maximal_fan, reference_maximal_fan, C, 0, 1)
 
 
-def test_assign_keeps_an_x_slot_that_names_another_edge():
-    # Improper at 0: {0, 1} and {0, 2} both have color 0, and 0's slot for
-    # it names 2, the later write. Recoloring {0, 1} must keep that slot.
-    C = EdgeColoring(Graph(3, [(0, 1), (0, 2)]), 3)
-    C.set_edge_color_unchecked(0, 1, 0)
-    C.set_edge_color_unchecked(0, 2, 0)
-    got = after_write(EdgeColoring.assign, C, 0, 1, 1)
-    assert got == after_write(reference_assign, C, 0, 1, 1)
-    assert got[2][0][0] == 2
+def test_store_keeps_an_x_slot_that_names_another_edge():
+    # Improper at 0: {0, 1}, {0, 2} and {0, 3} all have color 0, and 0's
+    # slot for it names 3, the last write. Recoloring {0, 1} must keep that
+    # slot: cleared, the re-point would name 2, the first edge of 0's row
+    # that still has color 0.
+    C = EdgeColoring(Graph(4, [(0, 1), (0, 2), (0, 3)]), 4)
+    for leaf in (1, 2, 3):
+        set_edge_color_unchecked(C, 0, leaf, 0)
+    got = after_write(EdgeColoring._store, C, 0, 1, 1)
+    assert got == after_write(reference_store, C, 0, 1, 1)
+    assert got[2][0][0] == 3
 
 
 def test_a_revisited_vertex_is_reported_by_both():
     # Improper: two edges of color 0 at vertex 0 close a 0, 1 cycle.
     C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
     for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 0)):
-        C.set_edge_color_unchecked(u, v, color)
+        set_edge_color_unchecked(C, u, v, color)
     got = outcome(maximal_path, C, 0, 1, 0)
     assert got == outcome(reference_maximal_path, C, 0, 1, 0)
     assert got[0] == (
@@ -259,8 +274,8 @@ def test_rotation_keeps_a_slot_that_names_another_edge():
     # Improper at fan vertex 2: {0, 2} and {2, 3} both have color 0, and
     # 2's slot for 0 names 3. Rotating {0, 2} away from 0 must keep it.
     C = EdgeColoring(Graph(4, [(0, 1), (0, 2), (2, 3)]), 3)
-    C.set_edge_color_unchecked(0, 2, 0)
-    C.set_edge_color_unchecked(2, 3, 0)
+    set_edge_color_unchecked(C, 0, 2, 0)
+    set_edge_color_unchecked(C, 2, 3, 0)
     fan = Fan(0, (1, 2))
     got = outcome(rotate_fan, C, fan, 1)
     assert got == outcome(reference_rotate_fan, C, fan, 1)
@@ -273,8 +288,8 @@ def test_uncoloring_clears_both_orientations():
     C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
     for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 2)):
         C.set_edge_color(u, v, color)
-    got = after_write(EdgeColoring.assign, C, 0, 1, None)
-    assert got == after_write(reference_assign, C, 0, 1, None)
+    got = after_write(EdgeColoring._store, C, 0, 1, None)
+    assert got == after_write(reference_store, C, 0, 1, None)
     assert got[1] == [{2: 2}, {2: 1}, {1: 1, 0: 2}]
 
 

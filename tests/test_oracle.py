@@ -20,6 +20,7 @@ from mgcolor import (
     verify_coloring,
 )
 from mgcolor.errors import DimensionMismatchError, TooLargeError
+from tests.helpers import set_edge_color_unchecked
 
 
 class TestVerifyColoring:
@@ -43,8 +44,8 @@ class TestVerifyColoring:
     def test_forced_conflict_reported(self):
         g = complete_graph(3)
         C = EdgeColoring(g, 3)
-        C.set_edge_color_unchecked(0, 1, 1)
-        C.set_edge_color_unchecked(0, 2, 1)
+        set_edge_color_unchecked(C, 0, 1, 1)
+        set_edge_color_unchecked(C, 0, 2, 1)
         verdict = verify_coloring(g, C)
         assert not verdict.proper
         assert verdict.first_violation.kind == "duplicate_color"
