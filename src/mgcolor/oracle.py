@@ -5,14 +5,16 @@ output, and `exact_chromatic_index` computes the true chromatic index by
 exhaustive backtracking. Deciding between max_degree and max_degree + 1 is
 NP-complete in general, so the exact search is capped by edge count and
 meant for desk-scale validation only. Neither function consults the main
-algorithm in any way.
+algorithm in any way. The exact search does not touch `EdgeColoring` at
+all: it reads only the graph and returns its witness as a plain tuple of
+colors, so the `oracle` command never compiles `coloring.py`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError, InvalidColorError, TooLargeError
 from .graph import Graph
 
 if TYPE_CHECKING:  # `cli` imports this module in every process
@@ -34,12 +36,16 @@ def verify_coloring(g: Graph, coloring: EdgeColoring) -> Verdict:
 
 def backtrack_color(
     g: Graph, k: int, max_edges: int = DEFAULT_MAX_EDGES
-) -> EdgeColoring | None:
+) -> tuple[int, ...] | None:
     """A complete proper k-edge-coloring of `g`, or None if none exists.
 
-    Exhaustive backtracking over edges in canonical order; the first edge is
-    pinned to color 0 (colors are interchangeable, so this loses nothing).
-    Worst-case cost is k**m, hence the edge cap.
+    The witness is one color per edge of `g.edge_set()`, in that order: the
+    lexicographically first proper assignment. Exhaustive backtracking over
+    the edges, colors lowest first; an edge may take a color no earlier edge
+    has used only if it is the lowest such color. Relabeling any solution by
+    first use makes it smaller, so this loses nothing and tries each
+    coloring once up to relabeling. Worst-case cost is k**m, hence the edge
+    cap. The witness is re-checked before it is returned.
     """
     edges = g.edge_set()
     m = len(edges)
@@ -47,37 +53,38 @@ def backtrack_color(
         raise TooLargeError(
             f"{m} edges exceeds the exact-search cap of {max_edges}"
         )
-    from .coloring import EdgeColoring
-
-    if k < 1:
-        return EdgeColoring(g, 1) if m == 0 else None
-
     incident: list[set[int]] = [set() for _ in range(g.n)]
     assignment: list[int] = [0] * m
 
-    def place(i: int) -> bool:
+    def place(i: int, opened: int) -> bool:
         if i == m:
             return True
         u, v = edges[i]
-        choices = range(1) if i == 0 else range(k)
-        for col in choices:
-            if col in incident[u] or col in incident[v]:
+        at_u, at_v = incident[u], incident[v]
+        for col in range(min(k, opened + 1)):
+            if col in at_u or col in at_v:
                 continue
-            incident[u].add(col)
-            incident[v].add(col)
+            at_u.add(col)
+            at_v.add(col)
             assignment[i] = col
-            if place(i + 1):
+            if place(i + 1, opened + (col == opened)):
                 return True
-            incident[u].remove(col)
-            incident[v].remove(col)
+            at_u.remove(col)
+            at_v.remove(col)
         return False
 
-    if not place(0):
+    if not place(0, 0):
         return None
-    witness = EdgeColoring(g, k)
+    seen: set[tuple[int, int]] = set()
     for (u, v), col in zip(edges, assignment):
-        witness.set_edge_color(u, v, col)
-    return witness
+        if not 0 <= col < k or (u, col) in seen or (v, col) in seen:
+            raise InvalidColorError(
+                f"exact search gave edge ({u}, {v}) color {col}, out of range "
+                "or already at one of its ends"
+            )
+        seen.add((u, col))
+        seen.add((v, col))
+    return tuple(assignment)
 
 
 def exact_chromatic_index(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> int:

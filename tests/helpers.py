@@ -22,7 +22,11 @@ edge, one `neighbor` lookup per path vertex. `reference_assign` pops the
 edge from the private maps and inserts it again with its new color; the
 kernels, which write in place, must leave the same state.
 `reference_rotate_fan` and `reference_parse_coloring` write through it,
-not through the code they check. `free_colors_on` lists a vertex's free
+not through the code they check. `reference_backtrack_color` is the exact
+search that pins only its first edge to color 0, and so repeats each dead
+end under every relabeling of the other colors; `backtrack_color` must
+return its witness unchanged. `witness_coloring` writes such a witness
+through the validated setter. `free_colors_on` lists a vertex's free
 colors through the public `is_free`. The building blocks check nothing
 themselves, so the `checked_*` wrappers run the lemma checkers around each
 one, as `extend_coloring(debug=True)` does.
@@ -458,3 +462,42 @@ def reference_maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> Al
         seq.append(z)
         on_path.add(z)
     return AltPath(a, b, tuple(seq))
+
+
+def reference_backtrack_color(g: Graph, k: int) -> tuple[int, ...] | None:
+    """Reference exact search: edges in `edge_set()` order, colors lowest
+    first, every color open to every edge but the first, which is pinned
+    to color 0. No edge cap."""
+    edges = g.edge_set()
+    m = len(edges)
+    if k < 1:
+        return () if m == 0 else None
+    incident: list[set[int]] = [set() for _ in range(g.n)]
+    assignment: list[int] = [0] * m
+
+    def place(i: int) -> bool:
+        if i == m:
+            return True
+        u, v = edges[i]
+        for col in range(1) if i == 0 else range(k):
+            if col in incident[u] or col in incident[v]:
+                continue
+            incident[u].add(col)
+            incident[v].add(col)
+            assignment[i] = col
+            if place(i + 1):
+                return True
+            incident[u].remove(col)
+            incident[v].remove(col)
+        return False
+
+    return tuple(assignment) if place(0) else None
+
+
+def witness_coloring(g: Graph, k: int, witness: tuple[int, ...]) -> EdgeColoring:
+    """The k-coloring that gives each edge of `g.edge_set()` its witness
+    color, written through the validated `set_edge_color`."""
+    coloring = EdgeColoring(g, k)
+    for (u, v), col in zip(g.edge_set(), witness, strict=True):
+        coloring.set_edge_color(u, v, col)
+    return coloring

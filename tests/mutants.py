@@ -52,6 +52,11 @@ PARSERS = tuple(
     for name in ("dimacs", "coloring")
 )
 
+ORACLE_PIN = (
+    "tests/test_oracle.py::TestExactChromaticIndex"
+    "::test_witness_matches_the_reference_on_every_small_graph"
+)
+
 
 class Mutant(NamedTuple):
     name: str
@@ -210,6 +215,17 @@ MUTANTS = (
     Mutant("color-output-as-one-string", "formats.py",
            "out.writelines(chunks)", 'out.write("".join(chunks))',
            ("tests/test_cli.py::TestColor::test_output_streams_without_holding_a_copy",)),
+    # The exact oracle: its witness is pinned to the search that tried
+    # every relabeling, and the search re-checks what it returns.
+    Mutant("oracle-tests-one-end-only", "oracle.py",
+           "if col in at_u or col in at_v:", "if col in at_u:",
+           (ORACLE_PIN,)),
+    Mutant("oracle-new-color-bound-off-by-one", "oracle.py",
+           "range(min(k, opened + 1))", "range(min(k, opened))",
+           (ORACLE_PIN,)),
+    Mutant("oracle-colors-tried-highest-first", "oracle.py",
+           "range(min(k, opened + 1))", "reversed(range(min(k, opened + 1)))",
+           (ORACLE_PIN,)),
     # The process entry point: with stdout block-buffered, an exit that
     # skips its flush loses what `main` printed.
     Mutant("entry-skips-the-stdout-flush", "__main__.py",

@@ -62,6 +62,10 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 NO_SRC_CALLER = {
     # perfbench/tracing.py wraps `EdgeColoring.copy` for `coloring.copy.s`.
     "copy",
+    # The library's validated writer, which perfbench/tracing.py wraps for
+    # `coloring.set_edge_color.calls`; the exact oracle, its last caller in
+    # `src/`, returns its witness as a tuple of colors.
+    "set_edge_color",
 }
 
 

@@ -351,7 +351,8 @@ FORMAT = {"mgcolor.coloring", "mgcolor.formats"}
     [
         pytest.param(["color", "{g}", "-o", "{out}"], LOOP | FORMAT, set(), id="color"),
         pytest.param(["check", "{g}", "{c}"], FORMAT, LOOP, id="check"),
-        pytest.param(["oracle", "{g}"], FORMAT, LOOP, id="oracle"),
+        pytest.param(["oracle", "{g}"], {"mgcolor.graph", "mgcolor.oracle"}, LOOP | FORMAT,
+                     id="oracle"),
         pytest.param(["gen", "gnp", "20", "0.2"], {"mgcolor.graph"}, LOOP | FORMAT, id="gen"),
         pytest.param(["stats", "{g}"], {"mgcolor.graph"}, LOOP | FORMAT, id="stats"),
     ],
