@@ -14,7 +14,11 @@ with. `reference_parse_dimacs` and `reference_parse_coloring` are the
 line-by-line parsers the single-pass library parsers must agree with on
 every text, errors included; `reference_format_coloring` is the formatter
 that builds every line before joining them, whose bytes `format_coloring`
-must match in both its forms. `reference_maximal_fan`,
+must match in both its forms. `reference_gnp_graph` is G(n, p) drawn one
+`random()` per vertex pair, which `gnp_graph` must equal in adjacency
+order, and `reference_format_dimacs` the formatter that writes one
+f-string per edge, whose bytes `format_dimacs` must match.
+`reference_maximal_fan`,
 `reference_rotate_fan` and `reference_maximal_path` are the building
 blocks as they were before each became one `EdgeColoring` kernel call: one
 first-match scan per fan extension, one `reference_assign` per rotated
@@ -315,6 +319,21 @@ def reference_parse_dimacs(text: str) -> Graph:
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, file has {len(edges)}")
     return Graph(n, edges)
+
+
+def reference_gnp_graph(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one `random()` per vertex pair in ascending (u, v) order,
+    kept when it is below p, built through the validated constructor."""
+    rand = random.Random(seed).random
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rand() < p]
+    return Graph(n, edges)
+
+
+def reference_format_dimacs(g: Graph) -> str:
+    """One line per edge of `edge_set()`, each its own f-string, joined."""
+    lines = [f"p edge {g.n} {g.m}"]
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edge_set())
+    return "\n".join(lines) + "\n"
 
 
 def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:

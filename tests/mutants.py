@@ -52,6 +52,7 @@ PARSERS = tuple(
     for name in ("dimacs", "coloring")
 )
 
+GNP_PIN = ("tests/test_graph.py::TestGnpMatchesTheReference",)
 ORACLE_PIN = (
     "tests/test_oracle.py::TestExactChromaticIndex"
     "::test_witness_matches_the_reference_on_every_small_graph"
@@ -215,6 +216,20 @@ MUTANTS = (
     Mutant("color-output-as-one-string", "formats.py",
            "out.writelines(chunks)", 'out.write("".join(chunks))',
            ("tests/test_cli.py::TestColor::test_output_streams_without_holding_a_copy",)),
+    # The bulk G(n, p) draw against one `random()` per pair: a boundary
+    # pair, whose top byte cannot settle it, must be decoded in full.
+    Mutant("gnp-boundary-byte-counted-as-hit", "graph.py",
+           "[2] * (rest > 0)", "[1] * (rest > 0)",
+           GNP_PIN),
+    Mutant("gnp-words-decoded-swapped", "graph.py",
+           "w0 = int.from_bytes(words[8 * i : 8 * i + 4], \"little\")\n"
+           "            w1 = int.from_bytes(words[8 * i + 4 : 8 * i + 8], \"little\")",
+           "w1 = int.from_bytes(words[8 * i : 8 * i + 4], \"little\")\n"
+           "            w0 = int.from_bytes(words[8 * i + 4 : 8 * i + 8], \"little\")",
+           GNP_PIN),
+    Mutant("gnp-boundary-compare-le", "graph.py",
+           "(w1 >> 6) < limit", "(w1 >> 6) <= limit",
+           GNP_PIN),
     # The exact oracle: its witness is pinned to the search that tried
     # every relabeling, and the search re-checks what it returns.
     Mutant("oracle-tests-one-end-only", "oracle.py",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from mgcolor.errors import (
     SelfLoopError,
     VertexRangeError,
 )
+from tests.helpers import reference_format_dimacs, reference_gnp_graph
 
 
 @st.composite
@@ -165,6 +167,78 @@ class TestGenerators:
         assert gen_family("complete", n=4).m == 6
         assert gen_family("petersen").n == 10
         assert gen_family("gnp", n=10, p=0.5, seed=42) == gnp_graph(10, 0.5, 42)
+
+
+class TestGnpMatchesTheReference:
+    """`gnp_graph` reads each row's variates from one `getrandbits` call and
+    decodes only the pairs its top-byte table cannot settle; the graph must
+    be the one-`random()`-per-pair reference's, in adjacency order."""
+
+    @staticmethod
+    def assert_same(n: int, p: float, seed: int) -> Graph:
+        got, want = gnp_graph(n, p, seed), reference_gnp_graph(n, p, seed)
+        assert got.adj == want.adj, (n, p, seed)
+        assert format_dimacs(got) == format_dimacs(want)
+        return got
+
+    @pytest.mark.parametrize("p", [0, 1, 0.0, 1.0, 0.5, 5e-324])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_tiny_graphs_and_the_ends_of_p(self, n, p):
+        for seed in range(4):
+            self.assert_same(n, p, seed)
+
+    def test_seeded_grid(self):
+        # Rates on both sides of the switch from `find` to `compress` at
+        # 32/256, and arbitrary ones.
+        rng = random.Random(20)
+        for _ in range(80):
+            p = rng.choice([0.01, 0.05, 32 / 256 - 1e-9, 32 / 256 + 1e-9, 0.1, 0.25,
+                            0.5, 0.9, 1 - 1e-9, rng.random()])
+            self.assert_same(rng.randint(0, 120), p, rng.getrandbits(32))
+
+    @pytest.mark.parametrize("j", [1, 3, 31, 32, 33, 128, 255])
+    def test_p_a_multiple_of_one_256th_has_no_boundary_byte(self, j):
+        assert math.ceil(j / 256 * 2**53) % 2**45 == 0
+        for seed in range(3):
+            self.assert_same(60, j / 256, seed)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_p_at_and_beside_a_drawn_variate(self, seed):
+        # At p equal to the variate of pair j, its 53-bit integer equals
+        # `limit` and the pair is no edge; one step of p up makes it one.
+        # Both are settled by the full decode of a boundary pair.
+        n = 40
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rand = random.Random(seed).random
+        variates = [rand() for _ in pairs]
+        for j in (0, 1, n - 2, len(pairs) // 2, len(pairs) - 1):
+            x, (u, v) = variates[j], pairs[j]
+            for p, hit in ((math.nextafter(x, 0), False), (x, False),
+                           (math.nextafter(x, 1), True)):
+                assert self.assert_same(n, p, seed).has_edge(u, v) is hit
+
+    def test_the_traced_bench_class(self):
+        g = self.assert_same(2000, 0.01, 1001)
+        assert 19_000 < g.m < 21_000
+
+
+def test_format_dimacs_matches_the_reference_on_shuffled_flipped_files():
+    # Parsed from a file in random order with random endpoint order, the
+    # neighbor lists are in no canonical order.
+    rng = random.Random(11)
+    for _ in range(30):
+        g = gnp_graph(rng.randint(0, 40), rng.choice([0.1, 0.3, 0.7]), rng.getrandbits(32))
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_set()]
+        rng.shuffle(edges)
+        lines = [f"p edge {g.n} {g.m}\n", *(f"e {u + 1} {v + 1}\n" for u, v in edges)]
+        h = parse_dimacs("".join(lines))
+        assert format_dimacs(h) == reference_format_dimacs(h)
+
+
+@given(graphs(max_n=14))
+@settings(max_examples=120)
+def test_format_dimacs_matches_the_reference(g: Graph):
+    assert format_dimacs(g) == reference_format_dimacs(g)
 
 
 @given(graphs())
