@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DimensionMismatchError, ParseError
-from .graph import Graph, _int_field
+from .graph import Graph, _int_field, _lines
 
 if TYPE_CHECKING:
     from .coloring import EdgeColoring
@@ -59,7 +59,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
 
     n = graph.n
     coloring: EdgeColoring | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         fields = line.split()
         if not fields:
             continue

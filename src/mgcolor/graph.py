@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import compress, repeat
-from typing import Iterable
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator
 
 from .errors import (
     BadParamsError,
@@ -55,23 +55,24 @@ class Graph:
         _raise_first_invalid(n, edges)
 
     @classmethod
-    def _trusted(cls, n: int, edges: list[Edge]) -> Graph:
+    def _trusted(cls, n: int, edges: Iterable[Edge]) -> Graph:
         """Graph from edges already checked the way `Graph(n, edges)` checks
         them; nothing is validated again."""
         g = cls.__new__(cls)
         g._build(n, edges)
         return g
 
-    def _build(self, n: int, edges: list[Edge]) -> None:
+    def _build(self, n: int, edges: Iterable[Edge]) -> None:
         # One int object per vertex (ints above 256 are not cached). Neighbor
         # indexes are dicts of keys: 20 keys take 632 B, and 2,264 B as a set.
+        # `edges` is read once, so it may be an iterator.
         ids = list(range(n))
         adj: list[list[int]] = [[] for _ in ids]
         for u, v in edges:
             adj[u].append(ids[v])
             adj[v].append(ids[u])
         self.n = n
-        self.m = len(edges)
+        self.m = sum(map(len, adj)) // 2
         self.adj = adj
         self._adj_index = [dict.fromkeys(row) for row in adj]
         self._delta = max(map(len, adj), default=0)
@@ -87,13 +88,18 @@ class Graph:
             raise VertexRangeError(v, self.n)
         return v in self._adj_index[u]
 
-    def edge_set(self) -> list[Edge]:
-        """Every undirected edge once, canonical (u < v) orientation.
+    def edges(self) -> Edges:
+        """Every undirected edge once, canonical (u < v) orientation, as a
+        sized view that builds each pair as it is iterated.
 
         Order is deterministic: ascending u, then insertion order of v
         within u's neighbor list.
         """
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if v > u]
+        return Edges(self)
+
+    def edge_set(self) -> list[Edge]:
+        """The edges of `edges()`, in its order, as a list."""
+        return list(self.edges())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -102,6 +108,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class Edges:
+    """The edges of a graph in `Graph.edges()` order: re-iterable, with
+    `len` the edge count, and holding no pair between iterations."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: Graph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g.m
+
+    def __iter__(self) -> Iterator[Edge]:
+        return ((u, v) for u, row in enumerate(self._g.adj) for v in row if v > u)
 
 
 def _raise_first_invalid(n: int, edges: list[Edge]) -> None:
@@ -260,16 +282,17 @@ def parse_dimacs(text: str) -> Graph:
     Raises ParseError with the offending line number.
 
     One pass validates each line once: its integer fields, then the range,
-    self-loop and duplicate tests. The checked edges go to the `Graph`
-    through its trusted path, without a second check, and only after the
-    last line, so a file whose header declares a huge n but fails on a
-    later line never allocates anything per vertex.
+    self-loop and duplicate tests. The duplicate keys are the edge list:
+    each edge is kept once, as the key (u - 1) * n + (v - 1) with u < v,
+    in file order, and `divmod(key, n)` gives it back. The edges go to the
+    `Graph` through its trusted path, without a second check, and only
+    after the last line, so a file whose header declares a huge n but
+    fails on a later line never allocates anything per vertex.
     """
     n: int | None = None
     m: int | None = None
-    edges: list[Edge] = []
-    seen: dict[int, None] = {}  # u * n + v of each edge, 1-based, u < v
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    seen: dict[int, None] = {}
+    for lineno, line in enumerate(_lines(text), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -288,11 +311,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"vertex out of range 1..{n}", lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = u * n + v if u < v else v * n + u
+            key = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1
             if key in seen:
                 raise ParseError(f"duplicate edge ({u}, {v})", lineno)
             seen[key] = None
-            edges.append((u - 1, v - 1))
         elif tag[0] == "c":
             continue
         elif tag == "p":
@@ -307,9 +329,9 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"unknown line type {tag!r}", lineno)
     if n is None:
         raise ParseError("missing 'p edge' header")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, file has {len(edges)}")
-    return Graph._trusted(n, edges)
+    if len(seen) != m:
+        raise ParseError(f"header declares {m} edges, file has {len(seen)}")
+    return Graph._trusted(n, map(divmod, seen, repeat(n)))
 
 
 def _int_field(s: str, lineno: int) -> int:
@@ -317,6 +339,23 @@ def _int_field(s: str, lineno: int) -> int:
         return int(s)
     except ValueError:
         raise ParseError(f"expected an integer, got {s!r}", lineno) from None
+
+
+def _lines(text: str, size: int = 1 << 14) -> Iterator[str]:
+    """The lines of `text.splitlines()`, split from one chunk of `text` at
+    a time, so the whole list of lines is never held. Each chunk ends just
+    after the first "\n" at least `size` characters on; no line break
+    spans such a cut, since the one two-character break, "\r\n", ends at
+    its "\n"."""
+    return chain.from_iterable(map(str.splitlines, _chunks(text, size)))
+
+
+def _chunks(text: str, size: int) -> Iterator[str]:
+    start = 0
+    while (end := text.find("\n", start + size) + 1) > 0:
+        yield text[start:end]
+        start = end
+    yield text[start:]
 
 
 def format_dimacs(g: Graph) -> str:

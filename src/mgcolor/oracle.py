@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import DimensionMismatchError, InvalidColorError, TooLargeError
+from .errors import BadParamsError, DimensionMismatchError, InvalidColorError, TooLargeError
 from .graph import Graph
 
 if TYPE_CHECKING:  # `cli` imports this module in every process
@@ -45,8 +45,11 @@ def backtrack_color(
     has used only if it is the lowest such color. Relabeling any solution by
     first use makes it smaller, so this loses nothing and tries each
     coloring once up to relabeling. Worst-case cost is k**m, hence the edge
-    cap. The witness is re-checked before it is returned.
+    cap, which must be nonnegative. The witness is re-checked before it is
+    returned.
     """
+    if max_edges < 0:
+        raise BadParamsError(f"edge cap must be nonnegative, got {max_edges}")
     edges = g.edge_set()
     m = len(edges)
     if m > max_edges:
@@ -92,10 +95,10 @@ def exact_chromatic_index(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> int:
 
     Only k = max_degree and k = max_degree + 1 are tried: the first is a
     lower bound (a vertex's edges need pairwise distinct colors) and one of
-    the two must succeed. Raises TooLargeError beyond the edge cap.
+    the two must succeed; on an edgeless graph the first is k = 0, which the
+    empty witness meets. Raises TooLargeError beyond the edge cap, and
+    BadParamsError for a negative cap.
     """
-    if g.m == 0:
-        return 0
     delta = g.max_degree()
     if backtrack_color(g, delta, max_edges) is not None:
         return delta

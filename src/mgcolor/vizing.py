@@ -21,7 +21,7 @@ bit-identical colorings.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from .altpath import AltPath, check_path, invert, is_maximal_path, maximal_path
@@ -82,7 +82,7 @@ def find_subfan(
 
 def extend_coloring(
     coloring: EdgeColoring,
-    edges: list[Edge],
+    edges: Iterable[Edge],
     debug: bool = False,
     on_step: Callable[[StepTrace], object] | None = None,
 ) -> None:
@@ -92,7 +92,9 @@ def extend_coloring(
     exists at every vertex), a proper current coloring, and every edge of
     `edges` uncolored. Already-colored edges stay colored and properness is
     preserved throughout. If `on_step` is given, it is called with each
-    step's `StepTrace` as soon as that step is done.
+    step's `StepTrace` as soon as that step is done. `edges` is read once,
+    in order, as it is walked, so it may be a view such as `Graph.edges()`
+    or an iterator; only `debug` makes a list of it.
 
     With `debug`, the full `is_proper` scan and the pending-edge check of
     every edge run once, before the first step. Each step then runs each
@@ -114,6 +116,7 @@ def extend_coloring(
             f"= {g.max_degree() + 1}"
         )
     if debug:
+        edges = list(edges)  # the pending-edge checks read ahead of the walk
         verdict = coloring.is_proper()
         if not verdict.proper:
             raise InvariantError(
@@ -214,5 +217,5 @@ def mk_edge_coloring(
     `on_step` is called with each step's `StepTrace`, as in `extend_coloring`.
     """
     coloring = EdgeColoring(g, g.max_degree() + 1)
-    extend_coloring(coloring, g.edge_set(), debug=debug, on_step=on_step)
+    extend_coloring(coloring, g.edges(), debug=debug, on_step=on_step)
     return coloring

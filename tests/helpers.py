@@ -520,3 +520,22 @@ def witness_coloring(g: Graph, k: int, witness: tuple[int, ...]) -> EdgeColoring
     for (u, v), col in zip(g.edge_set(), witness, strict=True):
         coloring.set_edge_color(u, v, col)
     return coloring
+
+
+# LF, CRLF, or LF, CRLF, "\x0b" and "\x1c" in turn.
+LONG_FILE_BREAKS = {"lf": ["\n"], "crlf": ["\r\n"], "mixed": ["\n", "\r\n", "\x0b", "\x1c"]}
+
+
+def long_file_with_a_bad_line(header: str, line: str, bad: str, breaks: list[str]) -> str:
+    """A 20,000-line file: `header`, then line i is `line.format(i)`, except
+    that line 15,000 is `bad` and, where `breaks` mixes several line ends,
+    every 97th line is blank and every 89th a comment. Line i ends with
+    `breaks[i % len(breaks)]`."""
+    lines = [header] + [line.format(i) for i in range(2, 20_001)]
+    if len(breaks) > 1:
+        lines[96::97] = [""] * len(lines[96::97])
+        lines[88::89] = ["c note"] * len(lines[88::89])
+    lines[15_000 - 1] = bad
+    text = "".join(x + breaks[i % len(breaks)] for i, x in enumerate(lines, start=1))
+    assert text.splitlines()[15_000 - 1] == bad
+    return text

@@ -90,6 +90,12 @@ MUTANTS = (
            "any free color keeps every lemma, and the kernels are held to "
            "references that take the colors as given; only pinned outputs "
            "see which free color was chosen"),
+    # Under `debug` the pending-edge checks read ahead, so the edges are
+    # listed first; an iterator read ahead would leave the loop nothing.
+    Mutant("debug-reads-the-edges-unlisted", "vizing.py",
+           "edges = list(edges)", "edges = edges",
+           ("tests/test_vizing.py::TestExtendColoring"
+            "::test_debug_takes_a_list_a_view_or_a_one_shot_iterator",)),
     # Records are built with `tuple.__new__`, which checks no arity.
     Mutant("step-trace-one-field-short", "vizing.py",
            "len(subfan.seq), before, after", "len(subfan.seq), before",
@@ -138,6 +144,11 @@ MUTANTS = (
     Mutant("kempe-swap-one-orientation", "coloring.py",
            "colors[u][v] = colors[v][u] = col", "colors[u][v] = col",
            (INVERT_EXAMPLE,)),
+    # A row of the table full, with palette colors left beyond it.
+    Mutant("min-free-color-past-the-table-raises", "coloring.py",
+           "while a in used:\n            a += 1",
+           'raise InvalidColorError(f"no free color on vertex {v}")',
+           ("tests/test_coloring.py::test_min_free_color_beyond_the_table",)),
     Mutant("store-skips-the-re-point", "coloring.py",
            "row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)",
            "pass",
@@ -164,6 +175,9 @@ MUTANTS = (
            "if len(set(seq)) != len(seq):\n        raise PathInvariantError",
            "if False:\n        raise PathInvariantError",
            ("tests/test_altpath.py::TestAlternates::test_a_walk_round_a_cycle_is_not_a_path",)),
+    Mutant("check-path-parity-flipped", "altpath.py",
+           "(path.b if i % 2 else path.a)", "(path.a if i % 2 else path.b)",
+           ("tests/test_altpath.py::TestMaximalPath::test_two_vertex_path",)),
     Mutant("is-maximal-path-asks-for-the-wrong-color", "altpath.py",
            "want = path.a if len(path.seq) % 2 else path.b",
            "want = path.b if len(path.seq) % 2 else path.a",
@@ -176,8 +190,9 @@ MUTANTS = (
            ("tests/test_debug_checks.py::test_local_verdict_equals_full_verdict_after_a_fault",)),
     # The single-pass parsers against the line-by-line reference parsers.
     Mutant("dimacs-duplicate-key-ignores-orientation", "graph.py",
-           "key = u * n + v if u < v else v * n + u\n            if key in seen:",
-           "key = u * n + v\n            if key in seen:",
+           "key = (u - 1) * n + v - 1 if u < v else (v - 1) * n + u - 1\n"
+           "            if key in seen:",
+           "key = (u - 1) * n + v - 1\n            if key in seen:",
            PARSERS),
     Mutant("dimacs-duplicate-test-skipped-for-u-above-v", "graph.py",
            "if key in seen:\n                raise ParseError",
@@ -191,6 +206,18 @@ MUTANTS = (
            "u, v = (_int_field(f, lineno) for f in fields[1:])",
            "v, u = (_int_field(f, lineno) for f in fields[:0:-1])",
            PARSERS),
+    # Lines are read a chunk at a time, each chunk cut just after a "\n".
+    Mutant("lines-chunk-cut-before-its-newline", "graph.py",
+           'text.find("\\n", start + size) + 1) > 0', 'text.find("\\n", start + size)) > 0',
+           ("tests/test_graph.py::test_lines_cut_in_chunks_are_splitlines",)),
+    # The graph's edges: each once, and counted once.
+    Mutant("edges-view-yields-both-orientations", "graph.py",
+           "for u, row in enumerate(self._g.adj) for v in row if v > u)",
+           "for u, row in enumerate(self._g.adj) for v in row)",
+           ("tests/test_graph.py::TestQueries::test_edge_set",)),
+    Mutant("build-counts-each-edge-twice", "graph.py",
+           "self.m = sum(map(len, adj)) // 2", "self.m = sum(map(len, adj))",
+           ("tests/test_graph.py::TestConstruction::test_triangle",)),
     # A header declaring 10**9 vertices must cost nothing until the graph
     # is built, after the last line; a bad later line then exits 2, not 3.
     Mutant("dimacs-allocates-per-vertex-at-header", "graph.py",

@@ -17,6 +17,7 @@ import pytest
 from mgcolor import (
     AltPath,
     Fan,
+    Graph,
     StepTrace,
     Verdict,
     Violation,
@@ -243,6 +244,14 @@ class TestOracle:
         gfile = write(tmp_path / "k8.gr", format_dimacs(complete_graph(8)))
         assert main(["oracle", gfile, "--max-edges", "28"]) == 0
         assert capsys.readouterr().out.strip() == "chi_prime 7"
+
+    @pytest.mark.parametrize("graph", [petersen_graph(), Graph(3)], ids=["petersen", "edgeless"])
+    def test_a_negative_edge_cap_is_a_bad_parameter(self, tmp_path, capsys, graph):
+        gfile = write(tmp_path / "g.gr", format_dimacs(graph))
+        assert main(["oracle", gfile, "--max-edges", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: edge cap must be nonnegative, got -1\n"
 
 
 class TestExitContract:

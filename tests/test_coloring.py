@@ -32,11 +32,14 @@ from mgcolor.errors import (
     VertexRangeError,
 )
 from tests.helpers import (
+    LONG_FILE_BREAKS,
     free_colors_on,
+    long_file_with_a_bad_line,
     ordered_verdict,
     rand_graph,
     rand_proper_coloring,
     reference_format_coloring,
+    reference_parse_coloring,
     set_edge_color_unchecked,
 )
 
@@ -498,6 +501,18 @@ class TestColoringFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_coloring(complete_graph(3), text)
+
+    @pytest.mark.parametrize("breaks", LONG_FILE_BREAKS.values(), ids=list(LONG_FILE_BREAKS))
+    def test_a_bad_line_deep_in_a_long_file_reports_its_number(self, breaks):
+        # Lines are read a chunk at a time; numbering runs on across the cuts.
+        g = star_graph(20_000)
+        text = long_file_with_a_bad_line("s 20001 20000 20000 0", "e 1 {0} {0}", "e 1 x 1", breaks)
+        with pytest.raises(ParseError) as info:
+            parse_coloring(g, text)
+        with pytest.raises(ParseError) as ref:
+            reference_parse_coloring(g, text)
+        assert info.value.line == 15_000
+        assert str(info.value) == str(ref.value)
 
     def test_semantic_defects_loaded_not_rejected(self):
         g = complete_graph(3)

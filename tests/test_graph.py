@@ -28,7 +28,14 @@ from mgcolor.errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from tests.helpers import reference_format_dimacs, reference_gnp_graph
+from mgcolor.graph import _lines
+from tests.helpers import (
+    LONG_FILE_BREAKS,
+    long_file_with_a_bad_line,
+    reference_format_dimacs,
+    reference_gnp_graph,
+    reference_parse_dimacs,
+)
 
 
 @st.composite
@@ -118,6 +125,11 @@ class TestQueries:
     def test_edge_set_order(self):
         g = Graph(3, [(2, 1), (0, 2)])
         assert g.edge_set() == [(0, 2), (1, 2)]
+
+    def test_edges_view_is_sized_and_re_iterable(self):
+        edges = Graph(3, [(2, 1), (0, 2)]).edges()
+        assert len(edges) == 2
+        assert list(edges) == list(edges) == [(0, 2), (1, 2)]
 
 
 class TestGenerators:
@@ -256,6 +268,29 @@ def test_structural_invariants(g: Graph):
 
 
 @given(graphs())
+def test_edges_view_is_the_edge_set(g: Graph):
+    assert list(g.edges()) == g.edge_set()
+    assert len(g.edges()) == g.m == len(g.edge_set())
+
+
+# Every break `str.splitlines` knows, "\r\n", and line content.
+LINE_TEXT = st.lists(st.sampled_from([
+    "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\r\n", "e", "1", " ",
+])).map("".join)
+
+
+@given(LINE_TEXT, st.integers(1, 8))
+def test_lines_cut_in_chunks_are_splitlines(text, size):
+    assert list(_lines(text, size)) == text.splitlines()
+
+
+@given(LINE_TEXT)
+def test_lines_with_the_default_chunk_are_splitlines(text):
+    assert list(_lines(text)) == text.splitlines()
+
+
+@given(graphs())
 @settings(max_examples=120)
 def test_handshake_and_rebuild(g: Graph):
     es = g.edge_set()
@@ -326,6 +361,17 @@ class TestDimacs:
         with pytest.raises(ParseError) as info:
             parse_dimacs(text)
         assert info.value.line == line
+
+    @pytest.mark.parametrize("breaks", LONG_FILE_BREAKS.values(), ids=list(LONG_FILE_BREAKS))
+    def test_a_bad_line_deep_in_a_long_file_reports_its_number(self, breaks):
+        # Lines are read a chunk at a time; numbering runs on across the cuts.
+        text = long_file_with_a_bad_line("p edge 20001 20000", "e 1 {}", "e 1 x", breaks)
+        with pytest.raises(ParseError) as info:
+            parse_dimacs(text)
+        with pytest.raises(ParseError) as ref:
+            reference_parse_dimacs(text)
+        assert info.value.line == 15_000
+        assert str(info.value) == str(ref.value)
 
     def test_parse_errors_without_line(self):
         with pytest.raises(ParseError):

@@ -1,10 +1,12 @@
 """Inputs that must not cost more memory than the graph they describe.
 
-Each case but the last runs the CLI in a child process whose address space
-is capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear in n
-and m fits easily; an n-by-n or n-by-palette table for these inputs would
-not, and the child would exit 3 (out of memory) instead of 0 or 1. The last
-case measures in process how compact the parse and the edge maps stay.
+Each case but the last four runs the CLI in a child process whose address
+space is capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear
+in n and m fits easily; an n-by-n or n-by-palette table for these inputs
+would not, and the child would exit 3 (out of memory) instead of 0 or 1.
+The last four measure in process, with `tracemalloc` on G(2000, 0.01), how
+compact the parse and the edge maps stay and what each phase holds beyond
+its result.
 """
 
 from __future__ import annotations
@@ -126,3 +128,48 @@ def test_parse_and_edge_maps_stay_compact():
     rows = parse_coloring(g, format_coloring(coloring))._colors
     loop, fresh = (sum(map(sys.getsizeof, r)) for r in (coloring._colors, rows))
     assert loop <= 1.03 * fresh, (loop, fresh)
+
+
+def traced_peak(fn):
+    """(result of `fn()`, peak bytes allocated while it ran, bytes it left
+    allocated)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+@pytest.fixture(scope="module")
+def g2000():
+    g = gnp_graph(2000, 0.01, 1)
+    return g, format_dimacs(g), format_coloring(mk_edge_coloring(g))
+
+
+def test_parse_dimacs_keeps_one_copy_of_the_edges(g2000):
+    # Its duplicate keys are its edge list, and it reads the text a chunk
+    # of lines at a time. About 173 B per edge at the peak; an edge list of
+    # tuples beside the keys and the whole list of lines read about 290 B.
+    _, text, _ = g2000
+    g, peak, _ = traced_peak(lambda: parse_dimacs(text))
+    assert peak / g.m < 210, peak / g.m
+
+
+def test_parse_coloring_holds_no_list_of_lines(g2000):
+    # Beyond the graph it holds the coloring it returns and one chunk of
+    # lines: about 3 B per edge above the coloring. The whole list of lines
+    # read about 71 B per edge.
+    g, _, text = g2000
+    _, peak, held = traced_peak(lambda: parse_coloring(g, text))
+    assert (peak - held) / g.m < 8, (peak - held) / g.m
+
+
+def test_the_loop_holds_no_edge_list(g2000):
+    # The loop walks `g.edges()`, which builds each pair as it goes, so its
+    # peak beyond the graph is the coloring it returns. A list of the edges
+    # is 8 B per edge in pointers alone; it read about 54 B per edge.
+    g, _, _ = g2000
+    _, peak, held = traced_peak(lambda: mk_edge_coloring(g))
+    assert (peak - held) / g.m < 8, (peak - held) / g.m

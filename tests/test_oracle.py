@@ -20,7 +20,7 @@ from mgcolor import (
     star_graph,
     verify_coloring,
 )
-from mgcolor.errors import DimensionMismatchError, TooLargeError
+from mgcolor.errors import BadParamsError, DimensionMismatchError, TooLargeError
 from tests.helpers import (
     reference_backtrack_color,
     set_edge_color_unchecked,
@@ -99,6 +99,14 @@ class TestExactChromaticIndex:
         # The cap is configurable: K8 (28 edges) is over the default but
         # fine when allowed explicitly. K8 is class 1: chi' = 7.
         assert exact_chromatic_index(complete_graph(8), max_edges=28) == 7
+
+    @pytest.mark.parametrize("g", [petersen_graph(), Graph(3)], ids=["petersen", "edgeless"])
+    def test_a_negative_cap_is_a_bad_parameter(self, g):
+        with pytest.raises(BadParamsError, match="edge cap must be nonnegative, got -1"):
+            exact_chromatic_index(g, max_edges=-1)
+        with pytest.raises(BadParamsError):
+            backtrack_color(g, 3, max_edges=-1)
+        assert exact_chromatic_index(g, max_edges=g.m) == (4 if g.m else 0)
 
     def test_k7_is_class_two(self):
         # Odd complete graphs need delta + 1: the k = 6 search must exhaust.

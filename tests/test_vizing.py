@@ -15,6 +15,7 @@ from mgcolor import (
     exact_chromatic_index,
     extend_coloring,
     find_subfan,
+    gnp_graph,
     maximal_fan,
     maximal_path,
     mk_edge_coloring,
@@ -143,6 +144,16 @@ class TestExtendColoring:
         with pytest.raises(InvariantError, match=r"pending edge \(2, 3\)"):
             extend_coloring(C, g.edge_set(), debug=True)
         assert C.count_colored() == 1
+
+    def test_debug_takes_a_list_a_view_or_a_one_shot_iterator(self):
+        g = gnp_graph(40, 0.3, seed=5)
+        colorings = []
+        for edges in (g.edge_set(), g.edges(), iter(g.edge_set())):
+            C = EdgeColoring(g, g.max_degree() + 1)
+            extend_coloring(C, edges, debug=True)
+            colorings.append(C)
+        assert colorings[0] == colorings[1] == colorings[2]
+        assert verify_coloring(g, colorings[2]).ok
 
     def test_progress_one_edge_per_iteration(self):
         rng = random.Random(61)
