@@ -5,12 +5,12 @@ distinct vertices whose consecutive edges are colored a, b, a, b, ...
 Inverting a maximal path swaps a and b along it, which keeps the coloring
 proper and swaps which of the two colors is free at x.
 
-`maximal_path` checks its call preconditions only, then makes one trusted
-`EdgeColoring.kempe_walk`; `invert` has none and is one trusted
-`EdgeColoring.kempe_swap`. `extend_coloring(debug=True)` runs the path
-checkers on the paths it builds and inverts; it checks an inversion as
-`check_path` of the path with a and b swapped plus `violation_at` of its
-vertices.
+`maximal_path` checks its call preconditions only, its colors' range among
+them, then makes one trusted `EdgeColoring.kempe_walk`; `invert` has none
+and is one trusted `EdgeColoring.kempe_swap`. `extend_coloring(debug=True)`
+runs the path checkers on the paths it builds and inverts; it checks an
+inversion as `check_path` of the path with a and b swapped plus
+`violation_at` of its vertices.
 """
 
 from __future__ import annotations
@@ -66,8 +66,11 @@ def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
         raise PreconditionError("path colors must be real colors")
     if a == b:
         raise PreconditionError(f"path colors must differ, got {a} twice")
-    if coloring.neighbor(x, b) is not None:
+    if coloring.neighbor(x, b) is not None:  # range-checks x
         raise PreconditionError(f"color {b} must be free on start vertex {x}")
+    width = len(coloring._nbr[x])
+    if not (0 <= a < width and 0 <= b < width):
+        raise PreconditionError(f"path colors {a}, {b} must lie in the table [0, {width})")
 
     return tuple.__new__(AltPath, (a, b, coloring.kempe_walk(x, a, b)))
 
@@ -89,8 +92,8 @@ def invert(coloring: EdgeColoring, path: AltPath) -> None:
     One trusted `EdgeColoring.kempe_swap` writes each path edge once,
     starting with b, and moves the a and b table slots of every path vertex:
     the inversion lemma, that a and b change places at each vertex of the
-    path. Maximality is what makes the swap valid at the endpoints; it is
-    the caller's to prove, and nothing is checked.
+    path. Maximality is what makes the swap valid at the endpoints; it and
+    colors in the table are the caller's to prove, and nothing is checked.
     """
     coloring.kempe_swap(path.seq, path.a, path.b)
 

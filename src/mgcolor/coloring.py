@@ -2,15 +2,16 @@
 
 Colors are integers in [0, palette); an uncolored edge is `None`. Each
 vertex keeps a map from its colored edges (by neighbor) to their colors,
-stored in both orientations; that map is the coloring. Beside it sits the
-Misra-Gries table nbr[v][c]: the neighbor of v along color c, or -1 when c
-is free on v. With it, a color lookup, a free-color test, the next step of
-an alternating path and the least free color are each one lookup. Memory
-is O(n * max_degree + m).
+stored in both orientations; that map is the coloring, all that `is_proper`
+and the file format read, in O(n + m) memory. The loop's queries and writes
+add the Misra-Gries table nbr[v][c], the neighbor of v along color c or -1,
+in O(n * max_degree): with it, a color lookup, a free-color test, the next
+step of an alternating path and the least free color are one lookup each.
 
-The table covers the colors below min(palette, max_degree + 1). A proper
-coloring never needs more, and a palette read from a file cannot make it
-larger; colors beyond it are answered from the edge map.
+The table covers the colors below min(palette, max_degree + 1); a proper
+coloring never needs more. Its first reader builds it from the edge maps,
+and a built table indexes every color in them: its readers refuse a
+coloring holding a color beyond it with PreconditionError.
 
 Each write rule has one entry point: `set_edge_color` validates the edge
 and the color, then stores it through the private `_store`; the trusted
@@ -30,6 +31,7 @@ from .errors import (
     InvalidColorError,
     InvariantError,
     NotAnEdgeError,
+    PreconditionError,
     VertexRangeError,
 )
 from .graph import Edge, Graph
@@ -96,15 +98,30 @@ class EdgeColoring:
             raise BadPaletteError(f"palette size must be >= 1, got {palette}")
         self.graph = graph
         self.palette = palette
-        n = graph.n
-        width = min(palette, graph.max_degree() + 1)
         # neighbor -> color of each colored edge at v; the coloring itself.
-        self._colors: list[dict[int, int]] = [{} for _ in range(n)]
+        self._colors: list[dict[int, int]] = [{} for _ in range(graph.n)]
         # nbr[v][c]: the neighbor of v along color c, or -1. An index of
-        # _colors; where deliberately improper states give v several edges
-        # of color c, it holds one of them.
-        self._nbr: list[list[int]] = [[-1] * width for _ in range(n)]
+        # _colors, None until `_table()` builds it; where deliberately
+        # improper states give v several edges of color c, it holds one.
+        self._nbr: list[list[int]] | None = None
         self._colored = 0
+
+    def _table(self) -> list[list[int]]:
+        """The table, built from the edge maps on first use; its readers take
+        it as `self._nbr or self._table()`. A color a vertex repeats gets the
+        last such edge of its map."""
+        if self._nbr is None:
+            width = min(self.palette, self.graph.max_degree() + 1)
+            nbr = [[-1] * width for _ in self._colors]
+            for u, (row, slots) in enumerate(zip(self._colors, nbr)):
+                for z, c in row.items():
+                    if not 0 <= c < width:
+                        raise PreconditionError(
+                            f"color {c} of edge ({u}, {z}) lies outside the table [0, {width})"
+                        )
+                    slots[c] = z
+            self._nbr = nbr
+        return self._nbr
 
     # -- queries ---------------------------------------------------------
 
@@ -123,32 +140,21 @@ class EdgeColoring:
 
     def neighbor(self, v: int, color: int) -> int | None:
         """The neighbor of v along `color`; None when `color` is free on v."""
-        nbr = self._nbr
+        nbr = self._nbr or self._table()
         if not 0 <= v < len(nbr):
             raise VertexRangeError(v, len(nbr))
         row = nbr[v]
-        if 0 <= color < len(row):
-            z = row[color]
-            return z if z >= 0 else None
-        return next((z for z, c in self._colors[v].items() if c == color), None)
+        z = row[color] if 0 <= color < len(row) else -1
+        return z if z >= 0 else None
 
     def fan_extension(self, x: int, w: int, candidates: Iterable[int]) -> list[int]:
         """The vertices a fan around x with last vertex w grows by, in order:
         each is the first unused z of `candidates` whose edge {x, z} has a
-        color free on the fan's last vertex so far. Trusted, read-only."""
-        colors, nbr = self._colors[x], self._nbr
+        color free on the fan's last vertex so far. Trusted, read-only: no
+        color may repeat at x, so that its slot names the edge it is on."""
+        colors, nbr = self._colors[x], self._nbr or self._table()
         nx = nbr[x]
         out: list[int] = []
-        if len(colors) + nx.count(-1) != len(nx):
-            # Some color at x lies beyond the table, or repeats: ask the edges.
-            zs = [z for z in candidates if z in colors]
-            while True:
-                w = next((z for z in zs if self.neighbor(w, colors[z]) is None), None)
-                if w is None:
-                    return out
-                zs.remove(w)
-                out.append(w)
-        # Each color at x has a slot of its own, naming the edge it is on.
         cs = [colors[z] for z in candidates if z in colors]
         while True:
             row = nbr[w]
@@ -162,21 +168,16 @@ class EdgeColoring:
             out.append(w)
 
     def min_free_color(self, v: int) -> int:
-        """Smallest free color on v; the deterministic 'choose a free color'."""
-        nbr = self._nbr
+        """Smallest free color on v in the table; the deterministic 'choose
+        a free color'."""
+        nbr = self._nbr or self._table()
         if not 0 <= v < len(nbr):
             raise VertexRangeError(v, len(nbr))
         row = nbr[v]
         try:
             return row.index(-1)
         except ValueError:  # every color of the table is used on v
-            a = len(row)
-        used = set(self._colors[v].values())
-        while a in used:
-            a += 1
-        if a < self.palette:
-            return a
-        raise InvalidColorError(f"no free color on vertex {v} (palette {self.palette})")
+            raise InvalidColorError(f"no free color on vertex {v} (palette {self.palette})")
 
     def edge_color_valid(self, u: int, v: int, color: Color) -> bool:
         """True iff `color` is None or free on both endpoints of edge {u, v}."""
@@ -203,9 +204,9 @@ class EdgeColoring:
     def set_edge_color(self, u: int, v: int, color: Color) -> None:
         """Recolor edge {u, v} with `color` (None uncolors it). In place.
 
-        Requires {u, v} to be a graph edge and the color to be valid there;
-        an InvalidColorError coming out of algorithm code means the
-        algorithm itself is broken.
+        Requires {u, v} to be a graph edge and the color to be valid there:
+        in the palette and the table, and free on both ends. An InvalidColorError
+        coming out of algorithm code means the algorithm itself is broken.
         """
         if not self.graph.has_edge(u, v):
             raise NotAnEdgeError(u, v)
@@ -214,6 +215,8 @@ class EdgeColoring:
                 raise InvalidColorError(
                     f"color {color} outside palette [0, {self.palette})"
                 )
+            if color >= (width := len(self._table()[u])):
+                raise InvalidColorError(f"color {color} outside the table [0, {width})")
             if not (self.is_free(u, color) and self.is_free(v, color)):
                 raise InvalidColorError(
                     f"color {color} is not free on both endpoints of ({u}, {v})"
@@ -225,25 +228,23 @@ class EdgeColoring:
         {x, seq[i + 1]} and {x, seq[-1]} takes `color`, each edge in turn
         from the back. A recolored edge is overwritten in place, so only
         uncoloring leaves a deleted slot in the edge maps."""
-        colors, nbr = self._colors, self._nbr
+        colors, nbr = self._colors, self._nbr or self._table()
         cx, nx = colors[x], nbr[x]
-        width = len(nx)
         carry = color
         for f in reversed(seq):
             nf = nbr[f]
             old = cx.get(f)
             # In an improper state the slot may name another edge that
             # carries `old`; only clear a slot that still names this edge.
-            if old is not None and 0 <= old < width:
+            if old is not None:
                 if nx[old] == f:
                     nx[old] = -1
                 if nf[old] == x:
                     nf[old] = -1
             if carry is not None:
                 cx[f] = colors[f][x] = carry
-                if 0 <= carry < width:
-                    nx[carry] = f
-                    nf[carry] = x
+                nx[carry] = f
+                nf[carry] = x
             elif old is not None:
                 del cx[f], colors[f][x]
             carry = old
@@ -252,11 +253,11 @@ class EdgeColoring:
 
     def kempe_walk(self, x: int, a: int, b: int) -> tuple[int, ...]:
         """The alternating path from x along a, b, a, ... to the first vertex
-        where the next color is free. Trusted: b free on x is the caller's."""
-        nbr = self._nbr
-        table = 0 <= a < len(nbr[x]) and 0 <= b < len(nbr[x])
+        where the next color is free. Trusted: a, b in the table and b free
+        on x are the caller's."""
+        nbr = self._nbr or self._table()
         path = {x: None}  # the vertices in order, with O(1) membership
-        while (z := nbr[x][a] if table else self.neighbor(x, a)) is not None and z >= 0:
+        while (z := nbr[x][a]) >= 0:
             if z in path:  # impossible while the coloring is proper
                 raise InvariantError(
                     f"path extension revisited vertex {z}; coloring state is broken"
@@ -270,24 +271,18 @@ class EdgeColoring:
         a, b, a, ... from seq[0], take b, a, b, .... Each edge's two map
         entries are written once, and each path vertex's a and b slots are
         cleared before the edges at it set theirs. The path is the caller's
-        to prove maximal on a proper coloring; its edges stay colored, so the
-        colored count is left alone."""
-        colors, nbr = self._colors, self._nbr
-        width = len(nbr[0]) if nbr else 0
-        ta, tb = 0 <= a < width, 0 <= b < width
+        to prove maximal on a proper coloring, with a and b in the table; its
+        edges stay colored, so the colored count is left alone."""
+        colors, nbr = self._colors, self._nbr or self._table()
         u = nu = None
         col, other = a, b
         for v in seq:
             nv = nbr[v]
-            if ta:
-                nv[a] = -1
-            if tb:
-                nv[b] = -1
+            nv[a] = nv[b] = -1
             if nu is not None:  # the edge from the previous vertex
                 colors[u][v] = colors[v][u] = col
-                if 0 <= col < width:
-                    nu[col] = v
-                    nv[col] = u
+                nu[col] = v
+                nv[col] = u
             u, nu, col, other = v, nv, other, col
 
     def _store(self, u: int, v: int, color: Color) -> None:
@@ -298,7 +293,7 @@ class EdgeColoring:
         self.shift_fan(u, (v,), color)
         for w in (u, v):
             row = self._nbr[w]
-            if old is not None and 0 <= old < len(row) and row[old] < 0:
+            if old is not None and row[old] < 0:
                 row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)
 
     def copy(self) -> EdgeColoring:
@@ -307,7 +302,7 @@ class EdgeColoring:
         dup.graph = self.graph
         dup.palette = self.palette
         dup._colors = [dict(row) for row in self._colors]
-        dup._nbr = [row[:] for row in self._nbr]
+        dup._nbr = self._nbr and [row[:] for row in self._nbr]
         dup._colored = self._colored
         return dup
 

@@ -105,8 +105,8 @@ def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
     `EdgeColoring.shift_fan` writes each edge once, from the back, so every
     intermediate state is proper: the displaced color has just been removed
     from x's edges and is free on the predecessor by the fan property. Only
-    the uncolored first edge is checked; the fan and the color are the
-    caller's to prove.
+    the uncolored first edge and the color's range, None or a table slot,
+    are checked; the fan and the color's validity are the caller's to prove.
     """
     x, seq = fan
     if not seq:
@@ -120,4 +120,7 @@ def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:
         raise PreconditionError(
             f"first fan edge ({x}, {seq[0]}) must be uncolored before rotation"
         )
+    width = len((coloring._nbr or coloring._table())[x])
+    if color is not None and not 0 <= color < width:
+        raise PreconditionError(f"color {color} lies outside the table [0, {width})")
     coloring.shift_fan(x, seq, color)

@@ -52,8 +52,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     the graph and the number of lines, never the header's palette.
 
     One pass validates each line once and writes each edge line into the
-    two edge maps; the table is then filled from the maps in line order, so
-    where a vertex repeats a color its slot names the last such line.
+    two edge maps, and no table: checking a file costs O(n + m) memory.
     """
     from .coloring import EdgeColoring  # here: `coloring` imports this module
 
@@ -108,10 +107,5 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
             raise ParseError(f"unknown line type {tag!r}", lineno)
     if coloring is None:
         raise ParseError("missing 's' header")
-    width = len(coloring._nbr[0]) if n else 0
-    for row, slots in zip(rows, coloring._nbr):
-        for z, c in row.items():
-            if c < width:  # colors are >= 0 here
-                slots[c] = z
     coloring._colored = sum(map(len, rows)) // 2
     return coloring

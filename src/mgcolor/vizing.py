@@ -89,12 +89,14 @@ def extend_coloring(
     """Color every edge in `edges`, one per iteration. In place.
 
     Requires a palette of at least max_degree + 1 (so a free color always
-    exists at every vertex), a proper current coloring, and every edge of
-    `edges` uncolored. Already-colored edges stay colored and properness is
-    preserved throughout. If `on_step` is given, it is called with each
-    step's `StepTrace` as soon as that step is done. `edges` is read once,
-    in order, as it is walked, so it may be a view such as `Graph.edges()`
-    or an iterator; only `debug` makes a list of it.
+    exists at every vertex), a proper current coloring with colors below
+    max_degree + 1 (the Misra-Gries table, built on entry, refuses others
+    with PreconditionError), and every edge of `edges` uncolored.
+    Already-colored edges stay colored and properness is preserved
+    throughout. If `on_step` is given, it is called with each step's
+    `StepTrace` as soon as that step is done. `edges` is read once, in
+    order, as it is walked, so it may be a view such as `Graph.edges()` or
+    an iterator; only `debug` makes a list of it.
 
     With `debug`, the full `is_proper` scan and the pending-edge check of
     every edge run once, before the first step. Each step then runs each
@@ -115,6 +117,7 @@ def extend_coloring(
             f"palette {coloring.palette} is smaller than max degree + 1 "
             f"= {g.max_degree() + 1}"
         )
+    coloring._table()
     if debug:
         edges = list(edges)  # the pending-edge checks read ahead of the walk
         verdict = coloring.is_proper()
@@ -126,9 +129,10 @@ def extend_coloring(
             raise InvariantError(
                 f"pending edge ({pending[0]}, {pending[1]}) is already colored"
             )
-        # How often each edge, keyed (u, v) with u < v, is still to come
-        # (a list may name an edge twice).
+        # How often each edge the list names twice or more, keyed (u, v)
+        # with u < v, is still to come. Only those keys are kept.
         waiting = Counter((u, v) if u < v else (v, u) for u, v in edges)
+        waiting = {key: k for key, k in waiting.items() if k > 1}
 
     for i, (x, y) in enumerate(edges):
         before = coloring.count_colored()
@@ -193,10 +197,9 @@ def extend_coloring(
             on_step(tuple.__new__(StepTrace, (
                 (x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after
             )))
-        if debug:
-            key = (x, y) if x < y else (y, x)
+        if debug and waiting.get(key := (x, y) if x < y else (y, x), 0) > 1:
             waiting[key] -= 1
-            if waiting[key] and (pending := coloring.first_colored(edges[i + 1 :])):
+            if pending := coloring.first_colored(edges[i + 1 :]):
                 raise InvariantError(
                     f"pending edge ({pending[0]}, {pending[1]}) is already colored"
                 )

@@ -3,7 +3,8 @@
 Everything here is seeded by the caller, so test runs are reproducible.
 `set_edge_color_unchecked` writes a color through the setters' private
 `_store` with no edge or properness check, to build the deliberately
-invalid states the full-scan checkers must diagnose. `is_inverted` is the
+invalid states the full-scan checkers must diagnose; a color the table
+cannot index goes into the edge maps only. `is_inverted` is the
 inversion lemma as a before/after comparison of two colorings, with
 `changed_edges` the diff of their edge maps; the debug loop checks an
 inversion more cheaply, so these serve only as the tests' reference.
@@ -74,12 +75,29 @@ def set_edge_color_unchecked(coloring: EdgeColoring, u: int, v: int, color: Colo
     """Write a color with no edge or properness validation.
 
     Materializes deliberately invalid states for the full-scan checker.
-    Indices must still be in range, and u != v.
+    Indices must still be in range, and u != v. A color the table can index
+    goes through `_store`. Any other, and any write to maps that already
+    hold one, goes into the two edge maps only and drops the table, so its
+    next reader's rebuild refuses the coloring, as for a file holding it.
     """
     coloring.color_of(u, v)  # range-checks both ends
     if u == v:
         raise SelfLoopError(u)
-    coloring._store(u, v, color)
+    try:
+        width = len(coloring._table()[u])
+    except PreconditionError:  # the maps already hold a color beyond it
+        width = 0
+    if width and (color is None or 0 <= color < width):
+        coloring._store(u, v, color)
+        return
+    cu, cv = coloring._colors[u], coloring._colors[v]
+    old = cu.get(v)
+    if color is not None:
+        cu[v] = cv[u] = color
+    elif old is not None:
+        del cu[v], cv[u]
+    coloring._colored += (color is not None) - (old is not None)
+    coloring._nbr = None
 
 
 def changed_edges(before: EdgeColoring, after: EdgeColoring) -> set[tuple[int, int]]:
@@ -131,8 +149,9 @@ def rand_proper_coloring(
 ) -> EdgeColoring:
     """Random reachable coloring state: a random valid mutation sequence.
 
-    Attempts `steps` random recolorings (including uncolorings) and applies
-    each one only when it is valid, so every state produced here is
+    Attempts `steps` random recolorings (including uncolorings) with colors
+    of the table, which stops at max_degree + 1 whatever the palette, and
+    applies each one only when it is valid, so every state produced here is
     reachable from the empty coloring through the validated setter.
     """
     if palette is None:
@@ -143,9 +162,10 @@ def rand_proper_coloring(
         return coloring
     if steps is None:
         steps = rng.randint(0, 4 * len(edges))
+    colors = [None, *range(min(palette, g.max_degree() + 1))]
     for _ in range(steps):
         u, v = edges[rng.randrange(len(edges))]
-        color = rng.choice([None] + list(range(palette)))
+        color = rng.choice(colors)
         if coloring.edge_color_valid(u, v, color):
             coloring.set_edge_color(u, v, color)
     return coloring
@@ -444,7 +464,8 @@ def reference_assign(
     from both edge maps, clear the table slots that still name it, then
     insert it again when `color` is not None."""
     cu, cv = coloring._colors[u], coloring._colors[v]
-    nu, nv = coloring._nbr[u], coloring._nbr[v]
+    nbr = coloring._nbr or coloring._table()
+    nu, nv = nbr[u], nbr[v]
     old = cu.pop(v, None)
     if old is not None:
         del cv[u]

@@ -107,16 +107,10 @@ MUTANTS = (
     Mutant("fan-first-match-to-last-match", "coloring.py",
            "for c in cs:", "for c in reversed(cs):",
            KERNELS),
-    Mutant("fan-fallback-switched-off", "coloring.py",
-           "if len(colors) + nx.count(-1) != len(nx):", "if False:",
-           KERNELS),
     # The fan grows without end, so the run dies at the address-space cap.
     Mutant("fan-color-not-popped", "coloring.py",
            "cs.remove(c)", "pass",
            ("tests/test_vizing.py::TestFindSubfan::test_prefix_case",)),
-    Mutant("kempe-walk-always-on-table", "coloring.py",
-           "table = 0 <= a < len(nbr[x]) and 0 <= b < len(nbr[x])", "table = True",
-           KERNELS),
     # The trusted rotation `shift_fan`, whose one-edge case `_store` writes.
     Mutant("fan-vertex-slot-cleared-unconditionally", "coloring.py",
            "if nf[old] == x:\n                    nf[old] = -1",
@@ -137,18 +131,25 @@ MUTANTS = (
            ("tests/test_kernels.py::test_uncoloring_clears_both_orientations",)),
     # The trusted inversion `kempe_swap`, and the setters' re-point.
     Mutant("kempe-swap-last-vertex-slots-kept", "coloring.py",
-           "if ta:\n                nv[a] = -1\n            if tb:\n                nv[b] = -1",
-           "if ta and v != seq[-1]:\n                nv[a] = -1\n"
-           "            if tb and v != seq[-1]:\n                nv[b] = -1",
+           "nv[a] = nv[b] = -1", "if v != seq[-1]:\n                nv[a] = nv[b] = -1",
            (INVERT_EXAMPLE,)),
     Mutant("kempe-swap-one-orientation", "coloring.py",
            "colors[u][v] = colors[v][u] = col", "colors[u][v] = col",
            (INVERT_EXAMPLE,)),
-    # A row of the table full, with palette colors left beyond it.
-    Mutant("min-free-color-past-the-table-raises", "coloring.py",
-           "while a in used:\n            a += 1",
-           'raise InvalidColorError(f"no free color on vertex {v}")',
-           ("tests/test_coloring.py::test_min_free_color_beyond_the_table",)),
+    # The table is the loop's: `check` builds none, and a built table
+    # indexes every color in the edge maps, so a color at its width is
+    # refused, and so is a path color that would index a row from its end.
+    Mutant("parse-builds-the-table", "formats.py",
+           "coloring._colored = sum(map(len, rows)) // 2",
+           "coloring._colored = sum(map(len, rows)) // 2\n    coloring._table()",
+           ("tests/test_limits.py::test_check_holds_the_edge_maps_and_no_table",)),
+    Mutant("table-range-check-admits-width", "coloring.py",
+           "if not 0 <= c < width:", "if not 0 <= c <= width:",
+           ("tests/test_coloring.py::TestColoringFormat"
+            "::test_a_color_beyond_the_table_is_checked_and_refused_by_the_loop",)),
+    Mutant("maximal-path-skips-its-color-range-check", "altpath.py",
+           "if not (0 <= a < width and 0 <= b < width):", "if False:",
+           ("tests/test_altpath.py::TestMaximalPath::test_colors_outside_the_table_rejected",)),
     Mutant("store-skips-the-re-point", "coloring.py",
            "row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)",
            "pass",

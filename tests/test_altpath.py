@@ -39,8 +39,11 @@ def two_edge_instance():
 
 
 def alternating_path(length, a, b, palette):
-    """Path 0-1-...-(length-1) whose edges are colored a, b, a, ... in order."""
-    C = EdgeColoring(path_graph(length), palette)
+    """Path 0-1-...-(length-1) whose edges are colored a, b, a, ... in order,
+    beside a star of palette - 1 edges, so that the table holds the palette."""
+    star = [(length, length + 1 + i) for i in range(palette - 1)]
+    path = [(i, i + 1) for i in range(length - 1)]
+    C = EdgeColoring(Graph(length + palette, path + star), palette)
     for i in range(length - 1):
         C.set_edge_color(i, i + 1, b if i % 2 else a)
     return C
@@ -177,6 +180,13 @@ class TestMaximalPath:
             maximal_path(C, 1, 0, 0)  # b = 0 is incident on 0
         with pytest.raises(PreconditionError):
             maximal_path(C, None, 1, 0)  # colors must be real
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (3, 1), (0, -1), (0, 3)])
+    def test_colors_outside_the_table_rejected(self, a, b):
+        # The table holds colors 0..2: -1 would index a row from its end.
+        C = two_edge_instance()
+        with pytest.raises(PreconditionError, match=r"must lie in the table \[0, 3\)"):
+            maximal_path(C, a, b, 2)
 
     def test_empty_path_rejected(self):
         C = EdgeColoring(path_graph(3), 3)
@@ -327,7 +337,7 @@ class TestIsInverted:
         assert not is_inverted(C, after, path)
 
     def test_report_rejects_non_swap_recoloring(self):
-        g = path_graph(2)
+        g = path_graph(3)
         C = EdgeColoring(g, 3)
         C.set_edge_color(0, 1, 0)
         path = maximal_path(C, 0, 1, 0)

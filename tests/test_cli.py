@@ -214,6 +214,24 @@ class TestCheck:
         assert main(["check", k3_file, col]) == 1
         assert "bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, code, out",
+        [
+            ("s 3 3 5 3\ne 1 2 1\ne 1 3 4\ne 2 3 2\n", 0,
+             "valid: proper complete colors_used=3 palette=5\n"),
+            ("s 3 3 5 2\ne 1 2 1\ne 1 3 4\n", 1, "invalid: incomplete edge (1, 2)\n"),
+            ("s 3 3 5 3\ne 1 2 4\ne 1 3 4\ne 2 3 2\n", 1,
+             "invalid: duplicate_color edge (0, 2) vertex 0 colors 3\n"),
+        ],
+        ids=["valid", "incomplete", "duplicate"],
+    )
+    def test_color_beyond_the_table_is_checked(self, tmp_path, k3_file, capsys, text, code, out):
+        # K3 has max degree 2, so the loop's table holds colors 1..3 (0..2
+        # inside); `check` reads the edge maps alone and never refuses 4.
+        col = write(tmp_path / "wide.col", text)
+        assert main(["check", k3_file, col]) == code
+        assert capsys.readouterr().out == out
+
     def test_improper_detected(self, tmp_path, k3_file, capsys):
         col = write(
             tmp_path / "dup.col", "s 3 3 3 2\ne 1 2 1\ne 1 3 1\ne 2 3 2\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from mgcolor import (
     Graph,
     Violation,
     complete_graph,
+    extend_coloring,
     format_coloring,
     gnp_graph,
     invert,
@@ -29,6 +31,7 @@ from mgcolor.errors import (
     InvalidColorError,
     NotAnEdgeError,
     ParseError,
+    PreconditionError,
     VertexRangeError,
 )
 from tests.helpers import (
@@ -160,6 +163,15 @@ class TestSetEdgeColor:
         with pytest.raises(InvalidColorError):
             C.set_edge_color(0, 1, 3)
 
+    @pytest.mark.parametrize("color", [3, 4])
+    def test_color_beyond_the_table_rejected(self, color):
+        # K3 has max degree 2: the table holds colors 0..2 whatever the
+        # palette, and a color the table cannot index is refused.
+        C = k3_coloring(palette=5)
+        with pytest.raises(InvalidColorError, match=r"outside the table \[0, 3\)"):
+            C.set_edge_color(0, 1, color)
+        assert C.count_colored() == 0
+
     def test_non_edge_rejected(self):
         C = EdgeColoring(path_graph(3), 2)
         with pytest.raises(NotAnEdgeError):
@@ -215,9 +227,9 @@ class TestIsProper:
 
     def test_bound_violation(self):
         C = k3_coloring(palette=2)
-        set_edge_color_unchecked(C, 0, 1, 5)
         C.set_edge_color(0, 2, 1)
         C.set_edge_color(1, 2, 0)
+        set_edge_color_unchecked(C, 0, 1, 5)
         verdict = C.is_proper()
         assert verdict.proper and verdict.complete and not verdict.bound_ok
         assert verdict.first_violation.kind == "bound"
@@ -227,8 +239,11 @@ class TestIsProper:
     def test_key_outside_the_vertex_range_is_a_non_edge(self, b):
         # `invert` writes through the trusted `kempe_swap`, so a path vertex
         # of -1 indexes rows from the end: row 0 gets key -1, row 2 key 0.
+        # It writes only colors in the table, so b beyond the palette is
+        # then written into those two map entries directly.
         C = k3_coloring()
-        invert(C, AltPath(0, b, (0, -1)))
+        invert(C, AltPath(0, 1, (0, -1)))
+        C._colors[0][-1] = C._colors[2][0] = b
         verdict = C.is_proper()
         assert not verdict.proper
         assert verdict.first_violation == Violation("non_edge", edge=(0, -1), colors=(b,))
@@ -301,8 +316,14 @@ def test_counters_match_scan(C: EdgeColoring):
 
 
 def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
-    """Every one-lookup query agrees with a scan of the incident edge colors."""
+    """Every one-lookup query agrees with a scan of the incident edge colors,
+    or, where some color lies outside the table, refuses the coloring."""
     n = C.graph.n
+    width = min(C.palette, C.graph.max_degree() + 1)
+    if any(not 0 <= c < width for row in C._colors for c in row.values()):
+        with pytest.raises(PreconditionError, match="outside the table"):
+            C.neighbor(0, 0)
+        return
     at_0 = _colors_at(C, 0)
     for v in range(n):
         by_color: dict[int, set[int]] = {}
@@ -315,12 +336,14 @@ def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
             assert (z is None) == (col not in by_color)
             assert z is None or z in by_color[col]
             assert C.is_free(v, col) == (col not in by_color)
-        free = [col for col in range(C.palette) if col not in by_color]
+        free = [col for col in range(width) if col not in by_color]
         if free:
             assert C.min_free_color(v) == free[0]
         else:
             with pytest.raises(InvalidColorError):
                 C.min_free_color(v)
+        if any(len(zs) > 1 for zs in by_color.values()):
+            continue  # a fan's center repeats no color
         # A fan around v whose last vertex is 0 grows by the first vertex
         # whose edge to v has a color that is free on 0.
         expect = next(
@@ -406,23 +429,6 @@ def test_lookups_survive_removing_one_of_two_equal_colors():
     assert C.neighbor(0, 0) == 1
     assert not C.is_free(0, 0)
     assert C.min_free_color(0) == 1
-    assert_lookups_match_edge_colors(C)
-
-
-def test_min_free_color_beyond_the_table():
-    # A table row has min(palette, max_degree + 1) slots. With palette <=
-    # max_degree a full row leaves no free color at all.
-    C = EdgeColoring(star_graph(3), 3)
-    for leaf, col in [(1, 0), (2, 1), (3, 2)]:
-        C.set_edge_color(0, leaf, col)
-    assert free_colors_on(C, 0) == []
-    assert_lookups_match_edge_colors(C)
-    # Colored non-edges (loaded from a file or written unchecked) can fill
-    # a row with free palette colors left beyond it.
-    C = EdgeColoring(Graph(3, [(0, 1)]), 4)
-    set_edge_color_unchecked(C, 0, 2, 0)
-    set_edge_color_unchecked(C, 0, 1, 1)
-    assert C.min_free_color(0) == 2
     assert_lookups_match_edge_colors(C)
 
 
@@ -513,6 +519,23 @@ class TestColoringFormat:
             reference_parse_coloring(g, text)
         assert info.value.line == 15_000
         assert str(info.value) == str(ref.value)
+
+    def test_a_color_beyond_the_table_is_checked_and_refused_by_the_loop(self):
+        # K3 has max degree 2, so the table holds colors 0..2; the file's
+        # edge (1, 3) carries color 3, the first one beyond it. Parsing
+        # builds no table, and checking needs none.
+        text = "s 3 3 5 2\ne 1 2 1\ne 1 3 4\n"
+        C = parse_coloring(complete_graph(3), text)
+        assert C._nbr is None
+        verdict = C.is_proper()
+        assert verdict.proper and verdict.bound_ok
+        assert verdict.first_violation == Violation("incomplete", edge=(1, 2))
+        refusal = re.escape("color 3 of edge (0, 2) lies outside the table [0, 3)")
+        with pytest.raises(PreconditionError, match=refusal):
+            C.neighbor(1, 0)
+        with pytest.raises(PreconditionError, match=refusal):
+            extend_coloring(C, [(1, 2)])
+        assert C._nbr is None and format_coloring(C) == text
 
     def test_semantic_defects_loaded_not_rejected(self):
         g = complete_graph(3)

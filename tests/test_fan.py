@@ -198,6 +198,14 @@ class TestRotate:
             rotate_fan(C, Fan(0, ()), 0)
         assert C.count_colored() == 0
 
+    @pytest.mark.parametrize("color", [-1, 3])
+    def test_color_outside_the_table_rejected(self, color):
+        # K3's table holds colors 0..2 whatever the palette.
+        C = EdgeColoring(complete_graph(3), 5)
+        with pytest.raises(PreconditionError, match=r"outside the table \[0, 3\)"):
+            rotate_fan(C, Fan(0, (1,)), color)
+        assert C.count_colored() == 0
+
     def test_preserves_properness_and_counts(self):
         rng = random.Random(13)
         rotated = 0

@@ -21,6 +21,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from mgcolor import (
     petersen_graph,
 )
 from mgcolor.cli import main
-from mgcolor.errors import InputError
+from mgcolor.errors import InputError, PreconditionError
 from tests.helpers import reference_parse_coloring, reference_parse_dimacs
 
 MAX_HEADER_N = 10**4
@@ -164,6 +165,8 @@ def test_parse_dimacs_matches_the_reference_parser(text):
 @example((GNP, "s 12 22 x 1\ne 1 8 1"))
 # Each vertex of the triangle repeats color 1: its slot names the last line.
 @example((GNP, GNP_HEADER + "\ne 1 8 1\ne 3 1 1\ne 8 3 1"))
+# A color beyond the table (GNP has max degree 7): no table can be built.
+@example((GNP, GNP_HEADER + "\ne 1 8 1\ne 3 1 9"))
 def test_parse_coloring_matches_the_reference_parser(case):
     graph, text = case
     got = outcome(parse_coloring, graph, text)
@@ -175,7 +178,16 @@ def test_parse_coloring_matches_the_reference_parser(case):
     assert [list(row.items()) for row in got._colors] == [
         list(row.items()) for row in want._colors
     ]
-    assert got._nbr == want._nbr
+    # Parsing builds no table. The one its first reader builds from the maps
+    # equals the reference's, written edge by edge, unless a color lies
+    # beyond it; then that reader refuses the coloring.
+    assert got._nbr is None
+    width = min(got.palette, graph.max_degree() + 1)
+    if all(c < width for row in got._colors for c in row.values()):
+        assert got._table() == (want._nbr or want._table())
+    else:
+        with pytest.raises(PreconditionError, match="outside the table"):
+            got._table()
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,9 +4,9 @@ Each case but the last four runs the CLI in a child process whose address
 space is capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear
 in n and m fits easily; an n-by-n or n-by-palette table for these inputs
 would not, and the child would exit 3 (out of memory) instead of 0 or 1.
-The last four measure in process, with `tracemalloc` on G(2000, 0.01), how
-compact the parse and the edge maps stay and what each phase holds beyond
-its result.
+The last five measure in process, with `tracemalloc` on G(2000, 0.01), how
+compact the parse and the edge maps stay, what each phase holds beyond its
+result, and that `check` holds no table.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from mgcolor import (
     mk_edge_coloring,
     parse_coloring,
     parse_dimacs,
+    verify_coloring,
 )
 
 resource = pytest.importorskip("resource")
@@ -164,6 +165,17 @@ def test_parse_coloring_holds_no_list_of_lines(g2000):
     g, _, text = g2000
     _, peak, held = traced_peak(lambda: parse_coloring(g, text))
     assert (peak - held) / g.m < 8, (peak - held) / g.m
+
+
+def test_check_holds_the_edge_maps_and_no_table(g2000):
+    # `parse_coloring` fills the two edge maps alone, and `verify_coloring`
+    # reads only them, so `check` never builds the Misra-Gries table. About
+    # 85 B per edge held; with the table's n * (Δ + 1) slots, about 124.
+    g, _, text = g2000
+    coloring, _, held = traced_peak(lambda: parse_coloring(g, text))
+    assert held / g.m < 100, held / g.m
+    assert verify_coloring(g, coloring).ok
+    assert coloring._nbr is None
 
 
 def test_the_loop_holds_no_edge_list(g2000):
