@@ -10,11 +10,12 @@ step of an alternating path and the least free color are one lookup each.
 
 The table covers the colors below min(palette, max_degree + 1); a proper
 coloring never needs more. Its first reader builds it from the edge maps,
-and a built table indexes every color in them: its readers refuse a
-coloring holding a color beyond it with PreconditionError.
+and a built table indexes every color in them, each once at a vertex: its
+readers refuse a coloring holding a color beyond it, or one a vertex
+repeats, with PreconditionError.
 
 Each write rule has one entry point: `set_edge_color` validates the edge
-and the color, then stores it through the private `_store`; the trusted
+and the color, then writes it as the one-edge `shift_fan`; the trusted
 kernels `shift_fan` (fan rotation) and `kempe_swap` (path inversion)
 validate nothing. All of them write in place, so the previous value is
 gone afterwards; take a `copy()` first where a before/after comparison is
@@ -101,15 +102,14 @@ class EdgeColoring:
         # neighbor -> color of each colored edge at v; the coloring itself.
         self._colors: list[dict[int, int]] = [{} for _ in range(graph.n)]
         # nbr[v][c]: the neighbor of v along color c, or -1. An index of
-        # _colors, None until `_table()` builds it; where deliberately
-        # improper states give v several edges of color c, it holds one.
+        # _colors, None until `_table()` builds it.
         self._nbr: list[list[int]] | None = None
         self._colored = 0
 
     def _table(self) -> list[list[int]]:
         """The table, built from the edge maps on first use; its readers take
-        it as `self._nbr or self._table()`. A color a vertex repeats gets the
-        last such edge of its map."""
+        it as `self._nbr or self._table()`. Each slot names one edge, so a
+        color outside the table, or repeated at a vertex, is refused."""
         if self._nbr is None:
             width = min(self.palette, self.graph.max_degree() + 1)
             nbr = [[-1] * width for _ in self._colors]
@@ -119,6 +119,8 @@ class EdgeColoring:
                         raise PreconditionError(
                             f"color {c} of edge ({u}, {z}) lies outside the table [0, {width})"
                         )
+                    if slots[c] >= 0:
+                        raise PreconditionError(f"color {c} of edge ({u}, {z}) repeats at {u}")
                     slots[c] = z
             self._nbr = nbr
         return self._nbr
@@ -150,8 +152,7 @@ class EdgeColoring:
     def fan_extension(self, x: int, w: int, candidates: Iterable[int]) -> list[int]:
         """The vertices a fan around x with last vertex w grows by, in order:
         each is the first unused z of `candidates` whose edge {x, z} has a
-        color free on the fan's last vertex so far. Trusted, read-only: no
-        color may repeat at x, so that its slot names the edge it is on."""
+        color free on the fan's last vertex so far. Trusted, read-only."""
         colors, nbr = self._colors[x], self._nbr or self._table()
         nx = nbr[x]
         out: list[int] = []
@@ -207,6 +208,7 @@ class EdgeColoring:
         Requires {u, v} to be a graph edge and the color to be valid there:
         in the palette and the table, and free on both ends. An InvalidColorError
         coming out of algorithm code means the algorithm itself is broken.
+        The write is the one-edge `shift_fan`.
         """
         if not self.graph.has_edge(u, v):
             raise NotAnEdgeError(u, v)
@@ -221,7 +223,7 @@ class EdgeColoring:
                 raise InvalidColorError(
                     f"color {color} is not free on both endpoints of ({u}, {v})"
                 )
-        self._store(u, v, color)
+        self.shift_fan(u, (v,), color)
 
     def shift_fan(self, x: int, seq: Sequence[int], color: Color) -> None:
         """Trusted rotation around x: {x, seq[i]} takes the color of
@@ -234,13 +236,14 @@ class EdgeColoring:
         for f in reversed(seq):
             nf = nbr[f]
             old = cx.get(f)
-            # In an improper state the slot may name another edge that
-            # carries `old`; only clear a slot that still names this edge.
+            # x's slot for `old` may name a later vertex of seq that this
+            # rotation has just given `old` (seq revisits a vertex, or `color`
+            # was on an earlier edge of it): clear it only while it names f.
+            # f's slot names x or -1.
             if old is not None:
                 if nx[old] == f:
                     nx[old] = -1
-                if nf[old] == x:
-                    nf[old] = -1
+                nf[old] = -1
             if carry is not None:
                 cx[f] = colors[f][x] = carry
                 nx[carry] = f
@@ -284,17 +287,6 @@ class EdgeColoring:
                 nu[col] = v
                 nv[col] = u
             u, nu, col, other = v, nv, other, col
-
-    def _store(self, u: int, v: int, color: Color) -> None:
-        """Write edge {u, v} as the one-edge `shift_fan`, then re-point the
-        table at any other edge still carrying the replaced color (only
-        improper states have one). Validates nothing."""
-        old = self._colors[u].get(v)
-        self.shift_fan(u, (v,), color)
-        for w in (u, v):
-            row = self._nbr[w]
-            if old is not None and row[old] < 0:
-                row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)
 
     def copy(self) -> EdgeColoring:
         """Independent snapshot sharing only the (immutable) graph."""

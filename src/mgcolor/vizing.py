@@ -90,8 +90,10 @@ def extend_coloring(
 
     Requires a palette of at least max_degree + 1 (so a free color always
     exists at every vertex), a proper current coloring with colors below
-    max_degree + 1 (the Misra-Gries table, built on entry, refuses others
-    with PreconditionError), and every edge of `edges` uncolored.
+    max_degree + 1 (the Misra-Gries table, built on entry, refuses a color
+    beyond it or repeated at a vertex with PreconditionError; `debug`
+    reports a repeat first, as InvariantError), and every edge of `edges`
+    uncolored.
     Already-colored edges stay colored and properness is preserved
     throughout. If `on_step` is given, it is called with each step's
     `StepTrace` as soon as that step is done. `edges` is read once, in
@@ -117,7 +119,6 @@ def extend_coloring(
             f"palette {coloring.palette} is smaller than max degree + 1 "
             f"= {g.max_degree() + 1}"
         )
-    coloring._table()
     if debug:
         edges = list(edges)  # the pending-edge checks read ahead of the walk
         verdict = coloring.is_proper()
@@ -133,6 +134,7 @@ def extend_coloring(
         # with u < v, is still to come. Only those keys are kept.
         waiting = Counter((u, v) if u < v else (v, u) for u, v in edges)
         waiting = {key: k for key, k in waiting.items() if k > 1}
+    coloring._table()
 
     for i, (x, y) in enumerate(edges):
         before = coloring.count_colored()

@@ -1,13 +1,16 @@
 """Shared builders for randomized tests.
 
 Everything here is seeded by the caller, so test runs are reproducible.
-`set_edge_color_unchecked` writes a color through the setters' private
-`_store` with no edge or properness check, to build the deliberately
-invalid states the full-scan checkers must diagnose; a color the table
-cannot index goes into the edge maps only. `is_inverted` is the
-inversion lemma as a before/after comparison of two colorings, with
-`changed_edges` the diff of their edge maps; the debug loop checks an
-inversion more cheaply, so these serve only as the tests' reference.
+`set_edge_color_unchecked` writes a color into the edge maps with no edge
+or properness check, to build the deliberately invalid states the
+full-scan checkers must diagnose, and drops the table, which its next
+reader rebuilds or refuses; `table_refusal` is the refusal it gives.
+`cycle_in_the_table` writes an improper state straight into a built
+table, as only a faulty kernel could, for the walk's revisit guard.
+`is_inverted` is the inversion lemma as a before/after comparison of two
+colorings, with `changed_edges` the diff of their edge maps; the debug
+loop checks an inversion more cheaply, so these serve only as the tests'
+reference.
 `rotate_fan_direct` is the independent shift-then-color formulation of fan
 rotation used to cross-check the library's fused implementation, and
 `ordered_verdict` the edge-by-edge scan `EdgeColoring.is_proper` must agree
@@ -75,21 +78,13 @@ def set_edge_color_unchecked(coloring: EdgeColoring, u: int, v: int, color: Colo
     """Write a color with no edge or properness validation.
 
     Materializes deliberately invalid states for the full-scan checker.
-    Indices must still be in range, and u != v. A color the table can index
-    goes through `_store`. Any other, and any write to maps that already
-    hold one, goes into the two edge maps only and drops the table, so its
-    next reader's rebuild refuses the coloring, as for a file holding it.
+    Indices must still be in range, and u != v. The color goes into the two
+    edge maps only, and the table is dropped: its next reader rebuilds it,
+    or refuses a coloring it cannot represent, as for a file holding it.
     """
     coloring.color_of(u, v)  # range-checks both ends
     if u == v:
         raise SelfLoopError(u)
-    try:
-        width = len(coloring._table()[u])
-    except PreconditionError:  # the maps already hold a color beyond it
-        width = 0
-    if width and (color is None or 0 <= color < width):
-        coloring._store(u, v, color)
-        return
     cu, cv = coloring._colors[u], coloring._colors[v]
     old = cu.get(v)
     if color is not None:
@@ -98,6 +93,37 @@ def set_edge_color_unchecked(coloring: EdgeColoring, u: int, v: int, color: Colo
         del cu[v], cv[u]
     coloring._colored += (color is not None) - (old is not None)
     coloring._nbr = None
+
+
+def table_refusal(coloring: EdgeColoring) -> str | None:
+    """The message of the PreconditionError with which the table's build
+    refuses `coloring`, or None when it can represent it: the first edge,
+    row by row, whose color lies outside the table or repeats at the row's
+    vertex."""
+    width = min(coloring.palette, coloring.graph.max_degree() + 1)
+    for u, row in enumerate(coloring._colors):
+        seen: set[int] = set()
+        for z, c in row.items():
+            if not 0 <= c < width:
+                return f"color {c} of edge ({u}, {z}) lies outside the table [0, {width})"
+            if c in seen:
+                return f"color {c} of edge ({u}, {z}) repeats at {u}"
+            seen.add(c)
+    return None
+
+
+def cycle_in_the_table() -> EdgeColoring:
+    """K3 with {0, 1} and {1, 2} colored 0 and 1 through the setter, then
+    {2, 0} colored 0 in the edge maps and 2's slot, as only a faulty kernel
+    could write it: vertex 0 holds color 0 twice, its slot names 1, and the
+    (0, 1)-walk from 0 comes back to it."""
+    coloring = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
+    coloring.set_edge_color(0, 1, 0)
+    coloring.set_edge_color(1, 2, 1)
+    coloring._colors[0][2] = coloring._colors[2][0] = 0
+    coloring._nbr[2][0] = 0
+    coloring._colored += 1
+    return coloring
 
 
 def changed_edges(before: EdgeColoring, after: EdgeColoring) -> set[tuple[int, int]]:

@@ -111,17 +111,14 @@ MUTANTS = (
     Mutant("fan-color-not-popped", "coloring.py",
            "cs.remove(c)", "pass",
            ("tests/test_vizing.py::TestFindSubfan::test_prefix_case",)),
-    # The trusted rotation `shift_fan`, whose one-edge case `_store` writes.
-    Mutant("fan-vertex-slot-cleared-unconditionally", "coloring.py",
-           "if nf[old] == x:\n                    nf[old] = -1",
-           "nf[old] = -1",
-           KERNELS),
-    # Inversions write through `kempe_swap`, and rotations of proper states
-    # never need this rule: only an improper row at x does.
+    # The trusted rotation `shift_fan`, whose one-edge case `set_edge_color`
+    # writes.
     Mutant("x-slot-cleared-unconditionally", "coloring.py",
            "if nx[old] == f:\n                    nx[old] = -1",
            "nx[old] = -1",
-           ("tests/test_kernels.py::test_store_keeps_an_x_slot_that_names_another_edge",)),
+           ("tests/test_kernels.py::test_a_rotation_keeps_an_x_slot_it_has_just_written",
+            "tests/test_kernels.py"
+            "::test_a_rotation_that_revisits_a_vertex_keeps_the_slot_it_wrote_last")),
     Mutant("colored-count-wrong", "coloring.py",
            "self._colored += (color is not None) - (carry is not None)",
            "self._colored += color is not None",
@@ -129,7 +126,7 @@ MUTANTS = (
     Mutant("uncolor-one-orientation", "coloring.py",
            "del cx[f], colors[f][x]", "del cx[f]",
            ("tests/test_kernels.py::test_uncoloring_clears_both_orientations",)),
-    # The trusted inversion `kempe_swap`, and the setters' re-point.
+    # The trusted inversion `kempe_swap`.
     Mutant("kempe-swap-last-vertex-slots-kept", "coloring.py",
            "nv[a] = nv[b] = -1", "if v != seq[-1]:\n                nv[a] = nv[b] = -1",
            (INVERT_EXAMPLE,)),
@@ -137,8 +134,9 @@ MUTANTS = (
            "colors[u][v] = colors[v][u] = col", "colors[u][v] = col",
            (INVERT_EXAMPLE,)),
     # The table is the loop's: `check` builds none, and a built table
-    # indexes every color in the edge maps, so a color at its width is
-    # refused, and so is a path color that would index a row from its end.
+    # indexes every color in the edge maps, once at each vertex, so a color
+    # at its width is refused, and so is one a vertex repeats, and a path
+    # color that would index a row from its end.
     Mutant("parse-builds-the-table", "formats.py",
            "coloring._colored = sum(map(len, rows)) // 2",
            "coloring._colored = sum(map(len, rows)) // 2\n    coloring._table()",
@@ -150,10 +148,10 @@ MUTANTS = (
     Mutant("maximal-path-skips-its-color-range-check", "altpath.py",
            "if not (0 <= a < width and 0 <= b < width):", "if False:",
            ("tests/test_altpath.py::TestMaximalPath::test_colors_outside_the_table_rejected",)),
-    Mutant("store-skips-the-re-point", "coloring.py",
-           "row[old] = next((z for z, c in self._colors[w].items() if c == old), -1)",
-           "pass",
-           ("tests/test_coloring.py::test_lookups_survive_removing_one_of_two_equal_colors",)),
+    Mutant("table-admits-a-repeated-color", "coloring.py",
+           "if slots[c] >= 0:", "if False:",
+           ("tests/test_coloring.py::TestColoringFormat"
+            "::test_a_color_repeated_at_a_vertex_is_checked_and_refused_by_the_loop",)),
     # The lemma checkers: one gone vacuous would pass whatever it is shown.
     Mutant("check-fan-skips-the-free-color-test", "fan.py",
            "if not coloring.is_free(seq[i], col):", "if False:",

@@ -22,6 +22,7 @@ from mgcolor.errors import InvariantError, PathInvariantError, PreconditionError
 from tests.helpers import (
     checked_invert,
     checked_maximal_path,
+    cycle_in_the_table,
     free_colors_on,
     is_inverted,
     rand_graph,
@@ -149,11 +150,9 @@ class TestNextVertex:
             observed += len(path.seq) - 1
         assert observed > 100
         # Only an improper coloring can lead the walk back onto the path:
-        # 0 -a- 1 -b- 2 -a- 0 gives vertex 0 two a-edges.
-        C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (2, 0)]), 3)
-        set_edge_color_unchecked(C, 0, 1, 0)
-        set_edge_color_unchecked(C, 1, 2, 1)
-        set_edge_color_unchecked(C, 2, 0, 0)
+        # 0 -a- 1 -b- 2 -a- 0 gives vertex 0 two a-edges. The table refuses
+        # to be built for it, so the cycle is written into a built one.
+        C = cycle_in_the_table()
         with pytest.raises(InvariantError):
             maximal_path(C, 0, 1, 0)
 

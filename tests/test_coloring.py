@@ -14,6 +14,7 @@ from mgcolor import (
     AltPath,
     EdgeColoring,
     Graph,
+    Verdict,
     Violation,
     complete_graph,
     extend_coloring,
@@ -24,11 +25,13 @@ from mgcolor import (
     parse_coloring,
     path_graph,
     star_graph,
+    verify_coloring,
 )
 from mgcolor.errors import (
     BadPaletteError,
     DimensionMismatchError,
     InvalidColorError,
+    InvariantError,
     NotAnEdgeError,
     ParseError,
     PreconditionError,
@@ -44,6 +47,7 @@ from tests.helpers import (
     reference_format_coloring,
     reference_parse_coloring,
     set_edge_color_unchecked,
+    table_refusal,
 )
 
 
@@ -317,11 +321,11 @@ def test_counters_match_scan(C: EdgeColoring):
 
 def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
     """Every one-lookup query agrees with a scan of the incident edge colors,
-    or, where some color lies outside the table, refuses the coloring."""
+    or, where the table cannot represent the coloring, refuses it."""
     n = C.graph.n
     width = min(C.palette, C.graph.max_degree() + 1)
-    if any(not 0 <= c < width for row in C._colors for c in row.values()):
-        with pytest.raises(PreconditionError, match="outside the table"):
+    if (refusal := table_refusal(C)) is not None:
+        with pytest.raises(PreconditionError, match=re.escape(refusal)):
             C.neighbor(0, 0)
         return
     at_0 = _colors_at(C, 0)
@@ -334,7 +338,7 @@ def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
         for col in set(by_color) | set(range(C.palette + 2)):
             z = C.neighbor(v, col)
             assert (z is None) == (col not in by_color)
-            assert z is None or z in by_color[col]
+            assert z is None or by_color[col] == {z}
             assert C.is_free(v, col) == (col not in by_color)
         free = [col for col in range(width) if col not in by_color]
         if free:
@@ -342,8 +346,6 @@ def assert_lookups_match_edge_colors(C: EdgeColoring) -> None:
         else:
             with pytest.raises(InvalidColorError):
                 C.min_free_color(v)
-        if any(len(zs) > 1 for zs in by_color.values()):
-            continue  # a fan's center repeats no color
         # A fan around v whose last vertex is 0 grows by the first vertex
         # whose edge to v has a color that is free on 0.
         expect = next(
@@ -437,6 +439,26 @@ def test_lookups_after_coloring_loop():
     for _ in range(30):
         C = mk_edge_coloring(rand_graph(rng, n_max=12))
         assert_lookups_match_edge_colors(C)
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+def test_the_maintained_table_never_drifts_from_the_maps(debug):
+    # The loop keeps the table by trusted writes alone. After every step it
+    # must equal the table built afresh from the edge maps.
+    for n, p, seed in ((40, 0.05, 1), (40, 0.15, 2), (30, 0.4, 3), (20, 0.9, 4)):
+        g = gnp_graph(n, p, seed)
+        C = EdgeColoring(g, g.max_degree() + 1)
+        steps = 0
+
+        def same_table(step):
+            nonlocal steps
+            fresh = C.copy()
+            fresh._nbr = None
+            assert C._nbr == fresh._table(), step
+            steps += 1
+
+        extend_coloring(C, g.edges(), debug=debug, on_step=same_table)
+        assert steps == g.m and C == mk_edge_coloring(g)
 
 
 def test_commutativity_of_disjoint_sets():
@@ -536,6 +558,30 @@ class TestColoringFormat:
         with pytest.raises(PreconditionError, match=refusal):
             extend_coloring(C, [(1, 2)])
         assert C._nbr is None and format_coloring(C) == text
+
+    def test_a_color_repeated_at_a_vertex_is_checked_and_refused_by_the_loop(self):
+        # The star's center 0 has edges (0, 1) and (0, 2) of color 0, and one
+        # slot for it, so no table can be built. The loop, the table readers
+        # and the setter refuse the coloring before any write; the checkers
+        # read it as before.
+        g = star_graph(3)
+        C = parse_coloring(g, "s 4 3 4 1\ne 1 2 1\ne 1 3 1\n")
+        rows = [dict(row) for row in C._colors]
+        refusal = re.escape("color 0 of edge (0, 2) repeats at 0")
+        with pytest.raises(PreconditionError, match=refusal):
+            extend_coloring(C, [(0, 3)])
+        assert C._colors == rows and C._nbr is None
+        defect = Violation("duplicate_color", edge=(0, 2), vertex=0, colors=(0,))
+        with pytest.raises(InvariantError, match=re.escape(f"not proper: {defect}")):
+            extend_coloring(C, [(0, 3)], debug=True)
+        for read, args in ((C.neighbor, (3, 0)), (C.min_free_color, (3,)),
+                           (C.set_edge_color, (0, 1, None))):
+            with pytest.raises(PreconditionError, match=refusal):
+                read(*args)
+        assert C._colors == rows and C._nbr is None and C.count_colored() == 2
+        assert verify_coloring(g, C) == Verdict(
+            proper=False, complete=False, colors_used=1, bound_ok=True, first_violation=defect
+        )
 
     def test_semantic_defects_loaded_not_rejected(self):
         g = complete_graph(3)

@@ -54,7 +54,6 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     g = gnp_graph(rng.randint(3, 9), p, rng.randrange(2**63))
     C = rand_proper_coloring(rng, g)
     edges = uncolored_edges(C)
-    real_store = EdgeColoring._store
     real_shift_fan = EdgeColoring.shift_fan
     real_kempe_swap = EdgeColoring.kempe_swap
     real_violation_at = EdgeColoring.violation_at
@@ -62,17 +61,13 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
     calls = 0
     injected = None
 
-    def store(self, u, v, color):
-        written.update((u, v))
-        return real_store(self, u, v, color)
-
     def shift_fan(self, x, seq, color):
-        # A rotation writes rows x and seq without going through `_store`.
+        # A rotation writes rows x and seq.
         written.update((x, *seq))
         return real_shift_fan(self, x, seq, color)
 
     def kempe_swap(self, seq, a, b):
-        # An inversion writes the rows of its path without going through `_store`.
+        # An inversion writes the rows of its path.
         written.update(seq)
         return real_kempe_swap(self, seq, a, b)
 
@@ -95,8 +90,7 @@ def test_local_verdict_equals_full_verdict_after_a_fault(seed, at, data):
         assert local == (None if full.proper else full.first_violation)
         return local
 
-    with mock.patch.object(EdgeColoring, "_store", store), \
-            mock.patch.object(EdgeColoring, "shift_fan", shift_fan), \
+    with mock.patch.object(EdgeColoring, "shift_fan", shift_fan), \
             mock.patch.object(EdgeColoring, "kempe_swap", kempe_swap), \
             mock.patch.object(EdgeColoring, "violation_at", violation_at):
         try:

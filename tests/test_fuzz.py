@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from mgcolor import (
 )
 from mgcolor.cli import main
 from mgcolor.errors import InputError, PreconditionError
-from tests.helpers import reference_parse_coloring, reference_parse_dimacs
+from tests.helpers import reference_parse_coloring, reference_parse_dimacs, table_refusal
 
 MAX_HEADER_N = 10**4
 
@@ -163,7 +164,7 @@ def test_parse_dimacs_matches_the_reference_parser(text):
 @example((GNP, GNP_HEADER + "\ne 13 13 0"))
 @example((GNP, GNP_HEADER + "\ne 1 8 1\ne 8 1 2"))
 @example((GNP, "s 12 22 x 1\ne 1 8 1"))
-# Each vertex of the triangle repeats color 1: its slot names the last line.
+# Each vertex of the triangle repeats color 1: no table can be built.
 @example((GNP, GNP_HEADER + "\ne 1 8 1\ne 3 1 1\ne 8 3 1"))
 # A color beyond the table (GNP has max degree 7): no table can be built.
 @example((GNP, GNP_HEADER + "\ne 1 8 1\ne 3 1 9"))
@@ -180,13 +181,12 @@ def test_parse_coloring_matches_the_reference_parser(case):
     ]
     # Parsing builds no table. The one its first reader builds from the maps
     # equals the reference's, written edge by edge, unless a color lies
-    # beyond it; then that reader refuses the coloring.
+    # beyond it or repeats at a vertex; then that reader refuses the coloring.
     assert got._nbr is None
-    width = min(got.palette, graph.max_degree() + 1)
-    if all(c < width for row in got._colors for c in row.values()):
+    if (refusal := table_refusal(got)) is None:
         assert got._table() == (want._nbr or want._table())
     else:
-        with pytest.raises(PreconditionError, match="outside the table"):
+        with pytest.raises(PreconditionError, match=re.escape(refusal)):
             got._table()
 
 

@@ -5,18 +5,19 @@ each make one kernel call (`fan_extension`, `shift_fan`, `kempe_walk`,
 `kempe_swap`). On every state they must do what the reference blocks in
 `tests.helpers` do: return the same fan, verdict or path, or raise the same
 error, and leave the same coloring behind. The kernels' contract is a
-coloring whose colors all lie in the table and repeat at no vertex: all
-that the loop and debug mode give them. The states are drawn to it:
-proper ones, with palettes above Δ+1 whose colors stay below it, and loop
-colorings partly uncolored again and written with the unchecked setter,
-colored non-edges included. Rows are compared as neighbor→color maps: the
-order of a row's keys is not behaviour. The writes `_store`, `shift_fan`
-and `kempe_swap`, which overwrite a recolored edge in place, are held to
-`reference_assign`, which pops it and inserts it again: the first two on
-those states and on states that repeat a color at a vertex, as the
-fault-injection tests write through `_store` (`_store` with its re-point
-of the replaced color's slots), and `kempe_swap`, through `invert`, on
-maximal paths of proper states, the inversion lemma's premises.
+coloring the table can represent, its colors all in the table and none
+repeated at a vertex: the table's build refuses any other. The states are
+drawn to it: proper ones, with palettes above Δ+1 whose colors stay below
+it, and loop colorings partly uncolored again and written with the
+unchecked setter, colored non-edges included. Rows are compared as
+neighbor→color maps: the order of a row's keys is not behaviour. The
+writes `shift_fan` (whose one-edge case `set_edge_color` writes) and
+`kempe_swap`, which overwrite a recolored edge in place, are held to
+`reference_assign`, which pops it and inserts it again: `shift_fan` on
+those states with any color and any sequence, and `kempe_swap`, through
+`invert`, on maximal paths of proper states, the inversion lemma's
+premises. The walk's revisit guard, which no such state reaches, is held
+on a cycle written into a built table.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from mgcolor import (
     path_graph,
     rotate_fan,
 )
-from mgcolor.errors import InvariantError
+from mgcolor.errors import InvariantError, PreconditionError
 from tests.helpers import (
+    cycle_in_the_table,
     rand_proper_coloring,
     reference_assign,
     reference_fan_candidate,
@@ -62,12 +64,11 @@ def wide_palette_states(draw):
 
 
 @st.composite
-def table_states(draw, repeats=False):
+def table_states(draw):
     # A complete loop coloring under a palette that may cut the table short,
     # some of it uncolored again, then a few unchecked writes of table
     # colors on any pair, non-edges included. Colors beyond the table are
-    # left out and, unless `repeats`, so is a write that would repeat a
-    # color at either end.
+    # left out, and so is a write that would repeat a color at either end.
     n = draw(st.integers(min_value=2, max_value=7))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, draw(st.lists(st.sampled_from(possible), unique=True)))
@@ -86,7 +87,7 @@ def table_states(draw, repeats=False):
     )
     rows = C._colors
     for (u, v), col, flip in draw(st.lists(ops, max_size=6)):
-        if repeats or col is None or not any(
+        if col is None or not any(
             c == col for w, x in ((u, v), (v, u)) for z, c in rows[w].items() if z != x
         ):
             set_edge_color_unchecked(C, *((v, u) if flip else (u, v)), col)
@@ -94,7 +95,6 @@ def table_states(draw, repeats=False):
 
 
 states = st.one_of(wide_palette_states(), table_states())
-write_states = st.one_of(states, table_states(repeats=True))
 
 
 def outcome(block, C: EdgeColoring, *args):
@@ -191,30 +191,7 @@ def reference_shift_fan(C: EdgeColoring, x: int, seq, color):
         carry = reference_assign(C, x, f, carry)
 
 
-def reference_store(C: EdgeColoring, u: int, v: int, color):
-    """Reference `_store`: `reference_assign`, then an endpoint slot of the
-    replaced color left empty names the first other edge there that still
-    carries it (only improper states have one)."""
-    old = reference_assign(C, u, v, color)
-    for w in (u, v):
-        row = C._nbr[w]
-        if old is not None and row[old] < 0:
-            row[old] = next((z for z, c in C._colors[w].items() if c == old), -1)
-
-
-@given(write_states, st.data())
-@settings(max_examples=300, deadline=None)
-def test_store_matches_the_pop_and_insert_reference(C, data):
-    n = C.graph.n
-    u = data.draw(st.integers(0, n - 1))
-    others = [v for v in range(n) if v != u]
-    v = data.draw(st.sampled_from(C.graph.adj[u] or others) | st.sampled_from(others))
-    color = colors_for(data, C, u)
-    got = after_write(EdgeColoring._store, C, u, v, color)
-    assert got == after_write(reference_store, C, u, v, color)
-
-
-@given(write_states, st.data())
+@given(states, st.data())
 @settings(max_examples=300, deadline=None)
 def test_shift_fan_matches_the_pop_and_insert_reference(C, data):
     fan = draw_fan(data, C)
@@ -223,6 +200,10 @@ def test_shift_fan_matches_the_pop_and_insert_reference(C, data):
     assert after_write(EdgeColoring.shift_fan, C, *args) == after_write(
         reference_shift_fan, C, *args
     )
+
+
+def reference_set_edge_color(C: EdgeColoring, u: int, v: int, color):
+    reference_assign(C, u, v, color)
 
 
 def reference_invert(C: EdgeColoring, path):
@@ -266,24 +247,10 @@ def test_each_fan_extension_is_the_first_match_of_a_fresh_scan():
     assert_same(maximal_fan, reference_maximal_fan, C, 0, 1)
 
 
-def test_store_keeps_an_x_slot_that_names_another_edge():
-    # Improper at 0: {0, 1}, {0, 2} and {0, 3} all have color 0, and 0's
-    # slot for it names 3, the last write. Recoloring {0, 1} must keep that
-    # slot: cleared, the re-point would name 2, the first edge of 0's row
-    # that still has color 0.
-    C = EdgeColoring(Graph(4, [(0, 1), (0, 2), (0, 3)]), 4)
-    for leaf in (1, 2, 3):
-        set_edge_color_unchecked(C, 0, leaf, 0)
-    got = after_write(EdgeColoring._store, C, 0, 1, 1)
-    assert got == after_write(reference_store, C, 0, 1, 1)
-    assert got[2][0][0] == 3
-
-
 def test_a_revisited_vertex_is_reported_by_both():
-    # Improper: two edges of color 0 at vertex 0 close a 0, 1 cycle.
-    C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
-    for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 0)):
-        set_edge_color_unchecked(C, u, v, color)
+    # Improper: two edges of color 0 at vertex 0 close a 0, 1 cycle, which
+    # only a faulty kernel could write into the table.
+    C = cycle_in_the_table()
     got = outcome(maximal_path, C, 0, 1, 0)
     assert got == outcome(reference_maximal_path, C, 0, 1, 0)
     assert got[0] == (
@@ -291,16 +258,28 @@ def test_a_revisited_vertex_is_reported_by_both():
     )
 
 
-def test_rotation_keeps_a_slot_that_names_another_edge():
-    # Improper at fan vertex 2: {0, 2} and {2, 3} both have color 0, and
-    # 2's slot for 0 names 3. Rotating {0, 2} away from 0 must keep it.
-    C = EdgeColoring(Graph(4, [(0, 1), (0, 2), (2, 3)]), 3)
-    set_edge_color_unchecked(C, 0, 2, 0)
-    set_edge_color_unchecked(C, 2, 3, 0)
-    fan = Fan(0, (1, 2))
-    got = outcome(rotate_fan, C, fan, 1)
-    assert got == outcome(reference_rotate_fan, C, fan, 1)
-    assert got[2][2][0] == 3
+def test_a_rotation_that_revisits_a_vertex_keeps_the_slot_it_wrote_last():
+    # K3 with {0, 2} colored 0. Written edge by edge from the back, the
+    # rotation of (1, 2, 2, 1) with color 0 colors {0, 1} 0, uncolors {0, 2}
+    # and colors it 0 again, then uncolors {0, 1}. By then 0's slot at 0
+    # names 2, and it must keep naming it.
+    C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
+    C.set_edge_color(0, 2, 0)
+    fan = Fan(0, (1, 2, 2, 1))
+    got = outcome(rotate_fan, C, fan, 0)
+    assert got == outcome(reference_rotate_fan, C, fan, 0)
+    assert got[1:3] == ([{2: 0}, {}, {0: 0}], [[2, -1, -1], [-1, -1, -1], [0, -1, -1]])
+
+
+def test_a_rotation_keeps_an_x_slot_it_has_just_written():
+    # The star 0-1, 0-2 colored 0, 1. Rotating (1, 2) with color 0 gives
+    # {0, 2} color 0 first, so when {0, 1} gives 0 up, 0's slot names 2.
+    C = EdgeColoring(Graph(3, [(0, 1), (0, 2)]), 3)
+    C.set_edge_color(0, 1, 0)
+    C.set_edge_color(0, 2, 1)
+    got = after_write(EdgeColoring.shift_fan, C, 0, (1, 2), 0)
+    assert got == after_write(reference_shift_fan, C, 0, (1, 2), 0)
+    assert got[1:3] == ([{1: 1, 2: 0}, {0: 1}, {0: 0}], [[2, 1, -1], [-1, 0, -1], [0, -1, -1]])
 
 
 def test_uncoloring_clears_both_orientations():
@@ -309,8 +288,8 @@ def test_uncoloring_clears_both_orientations():
     C = EdgeColoring(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3)
     for u, v, color in ((0, 1, 0), (1, 2, 1), (0, 2, 2)):
         C.set_edge_color(u, v, color)
-    got = after_write(EdgeColoring._store, C, 0, 1, None)
-    assert got == after_write(reference_store, C, 0, 1, None)
+    got = after_write(EdgeColoring.set_edge_color, C, 0, 1, None)
+    assert got == after_write(reference_set_edge_color, C, 0, 1, None)
     assert got[1] == [{2: 2}, {2: 1}, {1: 1, 0: 2}]
 
 
