@@ -304,10 +304,11 @@ class EdgeColoring:
         """Full check of every invariant against the graph.
 
         Reads each vertex's colored edges, never the table, so it also
-        diagnoses improper states, such as `parse_coloring` may load. Set
-        operations decide in O(degree) whether a vertex's colors are
-        distinct and its colored neighbors are graph neighbors; only a
-        vertex that fails is walked in sorted order, O(degree log degree).
+        diagnoses improper states, such as `parse_coloring` may load. In
+        O(degree), a set decides whether a vertex's colors are distinct, and
+        a count of its neighbors among its colored ones whether those are
+        all neighbors; only a vertex that fails is walked in sorted order,
+        O(degree log degree), against the graph's neighbor index.
         One min/max over all colors decides the palette bound, and only
         when it fails are the colored edges searched for the first one
         outside it. A proper coloring costs O(n + m). Within each kind the
@@ -318,19 +319,22 @@ class EdgeColoring:
         g = self.graph
         n, c = g.n, self.palette
         rows = self._colors
-        adj, index = g.adj, g._adj_index
+        adj = g.adj
         non_edge = duplicate = bound = incomplete = None
         seen_colors: set[int] = set()
         for u, row in enumerate(rows):
             used = set(row.values())
             seen_colors |= used
-            on_edges = row.keys() <= index[u].keys()
+            # adj[u] names each neighbor once, so the count reaches len(row)
+            # exactly when every colored neighbor is a graph neighbor.
+            on_edges = sum(map(row.__contains__, adj[u])) == len(row)
             if incomplete is None and not (on_edges and len(row) == len(adj[u])):
                 v = next((v for v in adj[u] if v > u and v not in row), None)
                 if v is not None:
                     incomplete = Violation("incomplete", edge=(u, v))
             if on_edges and len(used) == len(row):
                 continue
+            index = g._index()
             row_seen: set[int] = set()
             for v in sorted(row):
                 x = row[v]
@@ -369,8 +373,8 @@ class EdgeColoring:
         their degrees). None when every listed row is clean; otherwise the
         full scan runs, and its first violation is returned.
         """
-        rows = self._colors
-        index = self.graph._adj_index
+        rows, g = self._colors, self.graph
+        index = g._adj_index or g._index()
         for u in vertices:
             row = rows[u]
             if not (row.keys() <= index[u].keys() and len(set(row.values())) == len(row)):

@@ -8,7 +8,7 @@ proper.
 
 `maximal_fan` and `rotate_fan` check their call preconditions, then make
 one trusted `EdgeColoring` call. Each tests the range of its two vertices
-once, then reads the graph's adjacency index and the edge map directly,
+once, then reads the graph's neighbor lists and the edge map directly,
 raising what `Graph.has_edge` and `EdgeColoring.color_of` would.
 `extend_coloring(debug=True)` runs `check_fan` and `is_maximal_fan` on the
 fans it builds and rotates.
@@ -51,7 +51,9 @@ def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
         raise VertexRangeError(x, n)
     if not 0 <= y < n:
         raise VertexRangeError(y, n)
-    if y not in g._adj_index[x]:
+    # Scanned from y's side: the loop's x is the lower end, and in canonical
+    # edge order, as `gen` writes it, a vertex lists its lower neighbors first.
+    if x not in g.adj[y]:
         raise NotAnEdgeError(x, y)
     if coloring._colors[x].get(y) is not None:
         raise EdgeAlreadyColoredError(f"edge ({x}, {y}) is already colored")

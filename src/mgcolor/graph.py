@@ -32,12 +32,13 @@ class Graph:
     self-loops, no multi-edges; a bad input raises the error of its first
     bad edge. `_build` is the one piece of code that builds the adjacency.
     `Graph(n, edges)` runs it once every edge passes the range and self-loop
-    tests, and reads repeats off the neighbor indexes it built. A parser
-    that has already checked every edge, and `gnp_graph`, whose edges are
-    valid by construction, call it through `_trusted`, without a second
-    check. Adjacency is stored symmetrically. Instances must not be
-    mutated after construction; `adj[v]` is the live neighbor list of v in
-    insertion order, and callers must treat it as read-only.
+    tests, and reads repeats off the neighbor index, which `_index()` builds
+    for its first reader. A parser that has already checked every edge, and
+    `gnp_graph`, whose edges are valid by construction, call `_build`
+    through `_trusted`, without a second check. Adjacency is stored
+    symmetrically. Instances must not be mutated after construction;
+    `adj[v]` is the live neighbor list of v in insertion order, and callers
+    must treat it as read-only.
     """
 
     __slots__ = ("n", "m", "adj", "_adj_index", "_delta")
@@ -48,9 +49,9 @@ class Graph:
         edges = list(edges)
         if all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
             self._build(n, edges)
-            # Without self-loops, the neighbor indexes hold 2m keys exactly
+            # Without self-loops, the neighbor index holds 2m keys exactly
             # when no edge repeats.
-            if sum(map(len, self._adj_index)) == 2 * self.m:
+            if sum(map(len, self._index())) == 2 * self.m:
                 return
         _raise_first_invalid(n, edges)
 
@@ -63,8 +64,7 @@ class Graph:
         return g
 
     def _build(self, n: int, edges: Iterable[Edge]) -> None:
-        # One int object per vertex (ints above 256 are not cached). Neighbor
-        # indexes are dicts of keys: 20 keys take 632 B, and 2,264 B as a set.
+        # One int object per vertex (ints above 256 are not cached).
         # `edges` is read once, so it may be an iterator.
         ids = list(range(n))
         adj: list[list[int]] = [[] for _ in ids]
@@ -74,8 +74,16 @@ class Graph:
         self.n = n
         self.m = sum(map(len, adj)) // 2
         self.adj = adj
-        self._adj_index = [dict.fromkeys(row) for row in adj]
+        self._adj_index = None
         self._delta = max(map(len, adj), default=0)
+
+    def _index(self):
+        # The neighbor index, built from `adj` for its first reader; hot
+        # readers take it as `g._adj_index or g._index()`. Dicts of keys:
+        # 20 keys take 632 B, and 2,264 B as a set.
+        if self._adj_index is None:
+            self._adj_index = [dict.fromkeys(row) for row in self.adj]
+        return self._adj_index
 
     def max_degree(self) -> int:
         """Maximum vertex degree; 0 for edgeless or empty graphs."""
@@ -86,7 +94,7 @@ class Graph:
             raise VertexRangeError(u, self.n)
         if not 0 <= v < self.n:
             raise VertexRangeError(v, self.n)
-        return v in self._adj_index[u]
+        return v in (self._adj_index or self._index())[u]
 
     def edges(self) -> Edges:
         """Every undirected edge once, canonical (u < v) orientation, as a
@@ -104,7 +112,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj_index == other._adj_index
+        return self.n == other.n and self._index() == other._index()
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

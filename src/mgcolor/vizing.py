@@ -35,7 +35,7 @@ from .errors import (
     SubfanError,
 )
 from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan
-from .graph import Edge, Graph
+from .graph import Edge, Edges, Graph
 
 
 class StepTrace(NamedTuple):
@@ -98,7 +98,7 @@ def extend_coloring(
     throughout. If `on_step` is given, it is called with each step's
     `StepTrace` as soon as that step is done. `edges` is read once, in
     order, as it is walked, so it may be a view such as `Graph.edges()` or
-    an iterator; only `debug` makes a list of it.
+    an iterator; only `debug` makes a list of it, and not of such a view.
 
     With `debug`, the full `is_proper` scan and the pending-edge check of
     every edge run once, before the first step. Each step then runs each
@@ -120,7 +120,11 @@ def extend_coloring(
             f"= {g.max_degree() + 1}"
         )
     if debug:
-        edges = list(edges)  # the pending-edge checks read ahead of the walk
+        # The pending-edge checks read ahead of the walk. A `Graph.edges()`
+        # view can be walked again, and names each edge once.
+        view = isinstance(edges, Edges)
+        if not view:
+            edges = list(edges)
         verdict = coloring.is_proper()
         if not verdict.proper:
             raise InvariantError(
@@ -132,7 +136,7 @@ def extend_coloring(
             )
         # How often each edge the list names twice or more, keyed (u, v)
         # with u < v, is still to come. Only those keys are kept.
-        waiting = Counter((u, v) if u < v else (v, u) for u, v in edges)
+        waiting = {} if view else Counter((u, v) if u < v else (v, u) for u, v in edges)
         waiting = {key: k for key, k in waiting.items() if k > 1}
     coloring._table()
 

@@ -152,6 +152,25 @@ MUTANTS = (
            "if slots[c] >= 0:", "if False:",
            ("tests/test_coloring.py::TestColoringFormat"
             "::test_a_color_repeated_at_a_vertex_is_checked_and_refused_by_the_loop",)),
+    # The graph's neighbor index is built for its first reader, never by a
+    # plain run; the checkers that skip it still see a colored non-edge.
+    Mutant("graph-builds-the-index-eagerly", "graph.py",
+           "self._adj_index = None", "self._adj_index = [dict.fromkeys(row) for row in adj]",
+           ("tests/test_coloring.py::TestNeighborIndex"
+            "::test_plain_color_and_check_of_a_valid_file_build_no_index",
+            "tests/test_limits.py::test_the_parsed_graph_holds_its_adjacency_lists_alone")),
+    # The count never exceeds len(row), so `>=` would be no mutant at all.
+    Mutant("is-proper-admits-a-non-edge", "coloring.py",
+           "sum(map(row.__contains__, adj[u])) == len(row)",
+           "sum(map(row.__contains__, adj[u])) <= len(row)",
+           ("tests/test_coloring.py::TestIsProper::test_non_edge_violation",
+            "tests/test_coloring.py::TestNeighborIndex"
+            "::test_an_invalid_file_is_diagnosed_with_the_index[non_edge]")),
+    Mutant("violation-at-admits-a-non-edge", "coloring.py",
+           "if not (row.keys() <= index[u].keys() and len(set(row.values())) == len(row)):",
+           "if not len(set(row.values())) == len(row):",
+           ("tests/test_coloring.py::TestIsProper::test_a_local_check_reports_a_non_edge",
+            "tests/test_debug_checks.py::test_local_verdict_equals_full_verdict_after_a_fault")),
     # The lemma checkers: one gone vacuous would pass whatever it is shown.
     Mutant("check-fan-skips-the-free-color-test", "fan.py",
            "if not coloring.is_free(seq[i], col):", "if False:",

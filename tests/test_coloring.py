@@ -19,10 +19,12 @@ from mgcolor import (
     complete_graph,
     extend_coloring,
     format_coloring,
+    format_dimacs,
     gnp_graph,
     invert,
     mk_edge_coloring,
     parse_coloring,
+    parse_dimacs,
     path_graph,
     star_graph,
     verify_coloring,
@@ -228,6 +230,12 @@ class TestIsProper:
         verdict = C.is_proper()
         assert not verdict.proper
         assert verdict.first_violation.kind == "non_edge"
+
+    def test_a_local_check_reports_a_non_edge(self):
+        # Row 0's colors are distinct; only its key 2 is wrong.
+        C = EdgeColoring(path_graph(3), 3)
+        set_edge_color_unchecked(C, 0, 2, 1)
+        assert C.violation_at([0]) == Violation("non_edge", edge=(0, 2), colors=(1,))
 
     def test_bound_violation(self):
         C = k3_coloring(palette=2)
@@ -595,6 +603,33 @@ class TestColoringFormat:
         gp = path_graph(3)
         C = parse_coloring(gp, "s 3 2 3 1\ne 1 3 1\n")
         assert C.is_proper().first_violation.kind == "non_edge"
+
+
+class TestNeighborIndex:
+    """The graph's neighbor index is built only for the readers that need
+    O(1) membership: the debug checkers and the diagnosis of a bad row."""
+
+    def test_plain_color_and_check_of_a_valid_file_build_no_index(self):
+        g = parse_dimacs(format_dimacs(gnp_graph(60, 0.2, 3)))
+        text = format_coloring(mk_edge_coloring(g))
+        assert g._adj_index is None
+        assert verify_coloring(g, parse_coloring(g, text)).ok
+        assert g._adj_index is None
+        mk_edge_coloring(g, debug=True)
+        assert g._adj_index == [dict.fromkeys(row) for row in g.adj]
+
+    @pytest.mark.parametrize("lines, defect", [
+        ("e 1 2 1\ne 1 3 2\n", Violation("non_edge", edge=(0, 2), colors=(1,))),
+        ("e 1 2 1\ne 2 3 1\n",
+         Violation("duplicate_color", edge=(1, 2), vertex=1, colors=(0,))),
+    ], ids=["non_edge", "duplicate_color"])
+    def test_an_invalid_file_is_diagnosed_with_the_index(self, lines, defect):
+        # The path 1-2-3-4 in DIMACS form, so no index is built up front.
+        g = parse_dimacs("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+        assert g._adj_index is None
+        verdict = verify_coloring(g, parse_coloring(g, "s 4 3 3 2\n" + lines))
+        assert not verdict.proper and verdict.first_violation == defect
+        assert g._adj_index == [{1: None}, {0: None, 2: None}, {1: None, 3: None}, {2: None}]
 
 
 def test_copy_is_independent():

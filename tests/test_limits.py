@@ -1,11 +1,11 @@
 """Inputs that must not cost more memory than the graph they describe.
 
-Each case but the last four runs the CLI in a child process whose address
-space is capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear
-in n and m fits easily; an n-by-n or n-by-palette table for these inputs
-would not, and the child would exit 3 (out of memory) instead of 0 or 1.
-The last five measure in process, with `tracemalloc` on G(2000, 0.01), how
-compact the parse and the edge maps stay, what each phase holds beyond its
+The first four cases run the CLI in a child process whose address space is
+capped at 512 MB (RLIMIT_AS, set in that child only). Memory linear in n and
+m fits easily; an n-by-n or n-by-palette table for these inputs would not,
+and the child would exit 3 (out of memory) instead of 0 or 1. The rest
+measure in process, with `tracemalloc` on G(2000, 0.01), how compact the
+parse, the graph and the edge maps stay, what each phase holds beyond its
 result, and that `check` holds no table.
 """
 
@@ -111,9 +111,10 @@ def test_huge_header_bad_later_line_allocates_nothing_per_vertex(tmp_path, text)
 
 
 def test_parse_and_edge_maps_stay_compact():
-    # parse_dimacs keys duplicates in a dict, and the graph indexes its
-    # neighbors with dicts: a set of the same keys is several times larger.
-    # Sets read about 450 B per edge at the peak here, dicts about 290 B.
+    # parse_dimacs keys duplicates in a dict: a set of the same keys is
+    # several times larger. When the graph also built a neighbor index up
+    # front, sets for both read about 450 B per edge at the peak here, and
+    # dicts about 290 B; now about 90 B.
     text = format_dimacs(gnp_graph(2000, 0.01, 1))
     tracemalloc.start()
     try:
@@ -151,11 +152,20 @@ def g2000():
 
 def test_parse_dimacs_keeps_one_copy_of_the_edges(g2000):
     # Its duplicate keys are its edge list, and it reads the text a chunk
-    # of lines at a time. About 173 B per edge at the peak; an edge list of
-    # tuples beside the keys and the whole list of lines read about 290 B.
+    # of lines at a time. About 90 B per edge at the peak, and 173 B while
+    # the graph built its neighbor index up front; an edge list of tuples
+    # beside the keys and the whole list of lines read about 290 B.
     _, text, _ = g2000
     g, peak, _ = traced_peak(lambda: parse_dimacs(text))
     assert peak / g.m < 210, peak / g.m
+
+
+def test_the_parsed_graph_holds_its_adjacency_lists_alone(g2000):
+    # The neighbor index is built only for a reader that asks for it. The
+    # lists hold about 28 B per edge; with the index, the graph held 110.
+    _, text, _ = g2000
+    g, _, held = traced_peak(lambda: parse_dimacs(text))
+    assert held / g.m < 40, held / g.m
 
 
 def test_parse_coloring_holds_no_list_of_lines(g2000):
@@ -184,4 +194,16 @@ def test_the_loop_holds_no_edge_list(g2000):
     # is 8 B per edge in pointers alone; it read about 54 B per edge.
     g, _, _ = g2000
     _, peak, held = traced_peak(lambda: mk_edge_coloring(g))
+    assert (peak - held) / g.m < 8, (peak - held) / g.m
+
+
+def test_the_debug_loop_holds_no_edge_list(g2000):
+    # Under `debug`, a `g.edges()` view is read ahead by the pending-edge
+    # checks as it is, not copied: each edge once, so nothing is counted.
+    # About 0.5 B per edge above what it holds (the coloring, and the
+    # neighbor index its checkers build); a list of the edges and a Counter
+    # of them read about 59.
+    _, text, _ = g2000
+    g = parse_dimacs(text)
+    _, peak, held = traced_peak(lambda: mk_edge_coloring(g, debug=True))
     assert (peak - held) / g.m < 8, (peak - held) / g.m
