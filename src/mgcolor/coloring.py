@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     VertexRangeError,
 )
-from .graph import Edge, Graph
+from .graph import Graph
 
 Color = int | None
 
@@ -195,10 +195,6 @@ class EdgeColoring:
     def colors_used(self) -> int:
         """Number of distinct color ids currently present."""
         return len({c for row in self._colors for c in row.values()})
-
-    def first_colored(self, edges: Iterable[Edge]) -> Edge | None:
-        """First edge of `edges` that is colored; None when all are uncolored."""
-        return next(((u, v) for u, v in edges if self.color_of(u, v) is not None), None)
 
     # -- mutation --------------------------------------------------------
 

@@ -32,8 +32,9 @@ class Graph:
     self-loops, no multi-edges; a bad input raises the error of its first
     bad edge. `_build` is the one piece of code that builds the adjacency.
     `Graph(n, edges)` runs it once every edge passes the range and self-loop
-    tests, and reads repeats off the neighbor index, which `_index()` builds
-    for its first reader. A parser that has already checked every edge, and
+    tests, then finds repeats row by row, keeping nothing beyond the
+    neighbor lists; the neighbor index is built by `_index()` for its
+    first reader. A parser that has already checked every edge, and
     `gnp_graph`, whose edges are valid by construction, call `_build`
     through `_trusted`, without a second check. Adjacency is stored
     symmetrically. Instances must not be mutated after construction;
@@ -49,9 +50,9 @@ class Graph:
         edges = list(edges)
         if all(0 <= u < n and 0 <= v < n and u != v for u, v in edges):
             self._build(n, edges)
-            # Without self-loops, the neighbor index holds 2m keys exactly
-            # when no edge repeats.
-            if sum(map(len, self._index())) == 2 * self.m:
+            # Without self-loops, the rows hold 2m distinct neighbors
+            # exactly when no edge repeats.
+            if sum(map(len, map(set, self.adj))) == 2 * self.m:
                 return
         _raise_first_invalid(n, edges)
 

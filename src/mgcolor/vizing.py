@@ -20,7 +20,6 @@ bit-identical colorings.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from .errors import (
     SubfanError,
 )
 from .fan import Fan, check_fan, is_maximal_fan, maximal_fan, rotate_fan
-from .graph import Edge, Edges, Graph
+from .graph import Edge, Graph
 
 
 class StepTrace(NamedTuple):
@@ -93,25 +92,23 @@ def extend_coloring(
     max_degree + 1 (the Misra-Gries table, built on entry, refuses a color
     beyond it or repeated at a vertex with PreconditionError; `debug`
     reports a repeat first, as InvariantError), and every edge of `edges`
-    uncolored.
+    uncolored and listed once: `maximal_fan` raises EdgeAlreadyColoredError
+    at the step of an edge that is colored when its turn comes, before the
+    step writes anything, in either mode.
     Already-colored edges stay colored and properness is preserved
     throughout. If `on_step` is given, it is called with each step's
     `StepTrace` as soon as that step is done. `edges` is read once, in
     order, as it is walked, so it may be a view such as `Graph.edges()` or
-    an iterator; only `debug` makes a list of it, and not of such a view.
+    an iterator; neither mode makes a list of it.
 
-    With `debug`, the full `is_proper` scan and the pending-edge check of
-    every edge run once, before the first step. Each step then runs each
-    lemma checker once on each state it reaches: the fan as built, the
-    path before and after its inversion, the subfan after it, and the
-    rotation. The building blocks check nothing themselves. Properness is
-    checked on the rows the step wrote. Every other edge the step writes
-    was colored before it, as `check_fan` and `check_path` have shown, so
-    only the step's own edge can be a pending one, and only when the list
-    names it again. This keeps a debug step at about the cost of the step.
-    A write off the step's fan and path edges escapes these checks: one
-    more full `is_proper` after the last step reports a defect, and the
-    step of a pending edge it colored raises `EdgeAlreadyColoredError`.
+    With `debug`, the full `is_proper` scan runs once, before the first
+    step. Each step then runs each lemma checker once on each state it
+    reaches: the fan as built, the path before and after its inversion,
+    the subfan after it, and the rotation. The building blocks check
+    nothing themselves. Properness is checked on the rows the step wrote,
+    which keeps a debug step at about the cost of the step. A write off
+    the step's fan and path edges escapes these checks: one more full
+    `is_proper` after the last step reports it.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -120,27 +117,14 @@ def extend_coloring(
             f"= {g.max_degree() + 1}"
         )
     if debug:
-        # The pending-edge checks read ahead of the walk. A `Graph.edges()`
-        # view can be walked again, and names each edge once.
-        view = isinstance(edges, Edges)
-        if not view:
-            edges = list(edges)
         verdict = coloring.is_proper()
         if not verdict.proper:
             raise InvariantError(
                 f"initial coloring is not proper: {verdict.first_violation}"
             )
-        if (pending := coloring.first_colored(edges)) is not None:
-            raise InvariantError(
-                f"pending edge ({pending[0]}, {pending[1]}) is already colored"
-            )
-        # How often each edge the list names twice or more, keyed (u, v)
-        # with u < v, is still to come. Only those keys are kept.
-        waiting = {} if view else Counter((u, v) if u < v else (v, u) for u, v in edges)
-        waiting = {key: k for key, k in waiting.items() if k > 1}
     coloring._table()
 
-    for i, (x, y) in enumerate(edges):
+    for x, y in edges:
         before = coloring.count_colored()
 
         fan = maximal_fan(coloring, x, y)
@@ -203,12 +187,6 @@ def extend_coloring(
             on_step(tuple.__new__(StepTrace, (
                 (x, y), fan.seq, a, b, path_seq, len(subfan.seq), before, after
             )))
-        if debug and waiting.get(key := (x, y) if x < y else (y, x), 0) > 1:
-            waiting[key] -= 1
-            if pending := coloring.first_colored(edges[i + 1 :]):
-                raise InvariantError(
-                    f"pending edge ({pending[0]}, {pending[1]}) is already colored"
-                )
 
     if debug:
         verdict = coloring.is_proper()

@@ -90,12 +90,13 @@ MUTANTS = (
            "any free color keeps every lemma, and the kernels are held to "
            "references that take the colors as given; only pinned outputs "
            "see which free color was chosen"),
-    # Under `debug` the pending-edge checks read ahead, so the edges are
-    # listed first; an iterator read ahead would leave the loop nothing.
-    Mutant("debug-reads-the-edges-unlisted", "vizing.py",
-           "edges = list(edges)", "edges = edges",
-           ("tests/test_vizing.py::TestExtendColoring"
-            "::test_debug_takes_a_list_a_view_or_a_one_shot_iterator",)),
+    # A pending edge that is colored, or listed again, is refused at its
+    # step by `maximal_fan` alone, in both modes.
+    Mutant("maximal-fan-admits-a-colored-edge", "fan.py",
+           "if coloring._colors[x].get(y) is not None:", "if False:",
+           ("tests/test_debug_checks.py::test_a_step_that_colors_a_pending_edge_is_caught",
+            "tests/test_vizing.py::TestExtendColoring"
+            "::test_debug_rejects_an_already_colored_pending_edge")),
     # Records are built with `tuple.__new__`, which checks no arity.
     Mutant("step-trace-one-field-short", "vizing.py",
            "len(subfan.seq), before, after", "len(subfan.seq), before",
@@ -233,6 +234,9 @@ MUTANTS = (
            "for u, row in enumerate(self._g.adj) for v in row if v > u)",
            "for u, row in enumerate(self._g.adj) for v in row)",
            ("tests/test_graph.py::TestQueries::test_edge_set",)),
+    Mutant("graph-repeat-test-skipped", "graph.py",
+           "if sum(map(len, map(set, self.adj))) == 2 * self.m:", "if True:",
+           ("tests/test_graph.py::TestConstruction::test_duplicate_rejected_either_orientation",)),
     Mutant("build-counts-each-edge-twice", "graph.py",
            "self.m = sum(map(len, adj)) // 2", "self.m = sum(map(len, adj))",
            ("tests/test_graph.py::TestConstruction::test_triangle",)),

@@ -2,9 +2,11 @@
 
 The fan and path building blocks check nothing; `extend_coloring(debug=True)`
 runs each lemma checker once on each state a step reaches. It checks
-properness only on the rows the step wrote, the swap contract of an
-inversion as the path alternating with its colors swapped, and only the
-step's own edge against the pending ones. These tests show that this gives
+properness only on the rows the step wrote, and the swap contract of an
+inversion as the path alternating with its colors swapped. It reads its
+edges once, as a plain run does, and checks lemmas only: a pending edge
+that is colored, or listed again, is refused at its own step by
+`maximal_fan`, in either mode. These tests show that this gives
 the verdicts of the full scans, that the full scans run only at the two
 ends of a run, that each checker runs once per state, that a fault in any
 building block is caught at its step, and that a one-step run holds its
@@ -36,6 +38,7 @@ from mgcolor import (
 )
 from mgcolor import altpath, fan, vizing
 from mgcolor.errors import (
+    EdgeAlreadyColoredError,
     InvariantError,
     NotMaximalError,
     PreconditionError,
@@ -133,14 +136,17 @@ def test_fault_after_the_last_step_is_reported_by_the_final_scan():
     pytest.param([(0, 1), (1, 2), (1, 0)], id="second_not_next"),
 ])
 def test_a_step_that_colors_a_pending_edge_is_caught(edges):
-    # Listing an edge twice: its first step colors the second copy.
+    # Listing an edge twice: its first step colors the second copy, whose
+    # own step is refused before it writes, with and without `debug`.
     n = 1 + max(map(max, edges))
     second = edges[-1]
-    C = EdgeColoring(complete_graph(n), n)
-    pending = re.escape(f"pending edge {second} is already colored")
-    with pytest.raises(InvariantError, match=pending):
-        extend_coloring(C, edges, debug=True)
-    assert C.count_colored() == 1
+    colored = re.escape(f"edge {second} is already colored")
+    for debug in (False, True):
+        C = EdgeColoring(complete_graph(n), n)
+        with pytest.raises(EdgeAlreadyColoredError, match=colored):
+            extend_coloring(C, edges, debug=debug)
+        assert C.count_colored() == len(edges) - 1
+        assert C.is_proper().proper
 
 
 def test_debug_run_makes_two_full_scans_and_no_copies(monkeypatch):

@@ -21,7 +21,10 @@ import pytest
 
 import mgcolor
 from mgcolor import (
+    EdgeColoring,
+    Graph,
     cycle_graph,
+    extend_coloring,
     format_coloring,
     format_dimacs,
     gnp_graph,
@@ -161,11 +164,14 @@ def test_parse_dimacs_keeps_one_copy_of_the_edges(g2000):
 
 
 def test_the_parsed_graph_holds_its_adjacency_lists_alone(g2000):
-    # The neighbor index is built only for a reader that asks for it. The
-    # lists hold about 28 B per edge; with the index, the graph held 110.
-    _, text, _ = g2000
-    g, _, held = traced_peak(lambda: parse_dimacs(text))
-    assert held / g.m < 40, held / g.m
+    # The neighbor index is built only for a reader that asks for it, and
+    # `Graph(n, edges)` finds repeats row by row without it. The lists hold
+    # about 28 B per edge; with the index, the graph held 110.
+    g0, text, _ = g2000
+    edges = g0.edge_set()
+    for build in (lambda: parse_dimacs(text), lambda: Graph(g0.n, edges)):
+        g, _, held = traced_peak(build)
+        assert held / g.m < 40, held / g.m
 
 
 def test_parse_coloring_holds_no_list_of_lines(g2000):
@@ -198,12 +204,19 @@ def test_the_loop_holds_no_edge_list(g2000):
 
 
 def test_the_debug_loop_holds_no_edge_list(g2000):
-    # Under `debug`, a `g.edges()` view is read ahead by the pending-edge
-    # checks as it is, not copied: each edge once, so nothing is counted.
-    # About 0.5 B per edge above what it holds (the coloring, and the
-    # neighbor index its checkers build); a list of the edges and a Counter
-    # of them read about 59.
+    # Under `debug` the loop reads its edges once, as it walks them, as a
+    # plain run does: a `g.edges()` view and a one-shot iterator alike. About
+    # 0.5 B per edge above what it holds (the coloring, and the neighbor
+    # index its checkers build); a list of the edges and a Counter of them
+    # read about 65 on the iterator.
     _, text, _ = g2000
     g = parse_dimacs(text)
-    _, peak, held = traced_peak(lambda: mk_edge_coloring(g, debug=True))
-    assert (peak - held) / g.m < 8, (peak - held) / g.m
+
+    def color(edges):
+        coloring = EdgeColoring(g, g.max_degree() + 1)
+        extend_coloring(coloring, edges, debug=True)
+        return coloring
+
+    for edges in (g.edges, lambda: iter(g.edges())):
+        _, peak, held = traced_peak(lambda: color(edges()))
+        assert (peak - held) / g.m < 8, (peak - held) / g.m

@@ -24,7 +24,7 @@ from mgcolor import (
     star_graph,
     verify_coloring,
 )
-from mgcolor.errors import InvariantError, PreconditionError, SubfanError
+from mgcolor.errors import EdgeAlreadyColoredError, PreconditionError, SubfanError
 from mgcolor.fan import Fan
 from tests.helpers import (
     checked_invert,
@@ -136,14 +136,16 @@ class TestExtendColoring:
         assert verify_coloring(g, C).ok
 
     def test_debug_rejects_an_already_colored_pending_edge(self):
-        # Every pending edge is checked at every step, so the guard fires
-        # before the first step colors anything.
+        # With and without `debug`, the colored edge is refused at its own
+        # step, before that step writes anything.
         g = path_graph(4)
-        C = EdgeColoring(g, 3)
-        C.set_edge_color(2, 3, 0)
-        with pytest.raises(InvariantError, match=r"pending edge \(2, 3\)"):
-            extend_coloring(C, g.edge_set(), debug=True)
-        assert C.count_colored() == 1
+        for debug in (False, True):
+            C = EdgeColoring(g, 3)
+            C.set_edge_color(2, 3, 0)
+            with pytest.raises(EdgeAlreadyColoredError, match=r"edge \(2, 3\) is already"):
+                extend_coloring(C, g.edge_set(), debug=debug)
+            assert C.count_colored() == 3
+            assert C.is_proper().proper
 
     def test_debug_takes_a_list_a_view_or_a_one_shot_iterator(self):
         g = gnp_graph(40, 0.3, seed=5)
