@@ -15,7 +15,8 @@ use (PEP 562), so `import mgcolor` alone compiles none of them.
 # as the module itself.
 _PUBLIC = {
     "altpath": ("AltPath", "check_path", "invert", "is_maximal_path", "maximal_path"),
-    "coloring": ("Color", "EdgeColoring", "Verdict", "Violation"),
+    "certify": ("Verdict", "Violation"),
+    "coloring": ("Color", "EdgeColoring"),
     "errors": (),
     "fan": ("Fan", "check_fan", "is_maximal_fan", "maximal_fan", "rotate_fan"),
     "formats": ("format_coloring", "parse_coloring"),

@@ -23,11 +23,13 @@ before coloring.
 
 Each command imports the modules only it runs inside its `cmd_*`
 function, so that, say, `gen` never compiles the coloring loop. `oracle`
-stays at module level: `--max-edges` takes its default from there. The
-file formats are imported through `coloring`, so that `coloring.py`, the
+stays at module level: `--max-edges` takes its default from there. `color`
+imports the file formats through `coloring`, so that `coloring.py`, the
 largest module, compiles before the graph is read and before `formats`:
-in that order `color` and `check` peak no higher than when the package
-imported everything up front (README, "Memory").
+in that order it peaks no higher than when the package imported
+everything up front. `check` judges the file's edge maps with `formats`
+and `certify` alone, both imported before the graph is read, and never
+loads `coloring.py` (README, "Memory").
 
 All randomness flows from --seed; no command reads wall-clock entropy, so
 identical invocations produce byte-identical files.
@@ -45,7 +47,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from .errors import BadParamsError, InputError, TooLargeError
 from .graph import FAMILIES, Graph, format_dimacs, gen_family, parse_dimacs
-from .oracle import DEFAULT_MAX_EDGES, exact_chromatic_index, verify_coloring
+from .oracle import DEFAULT_MAX_EDGES, exact_chromatic_index
 
 if TYPE_CHECKING:
     from .vizing import StepTrace
@@ -126,15 +128,16 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .coloring import parse_coloring
+    from .certify import is_proper
+    from .formats import _read_rows
 
     g = _load_graph(args.graph)
-    coloring = parse_coloring(g, _read(args.coloring))
-    verdict = verify_coloring(g, coloring)
+    palette, rows = _read_rows(g, _read(args.coloring))
+    verdict = is_proper(g, palette, rows)
     if verdict.ok:
         print(
             f"valid: proper complete colors_used={verdict.colors_used} "
-            f"palette={coloring.palette}"
+            f"palette={palette}"
         )
         return EXIT_OK
     print(f"invalid: {verdict.first_violation}")

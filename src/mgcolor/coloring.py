@@ -2,11 +2,12 @@
 
 Colors are integers in [0, palette); an uncolored edge is `None`. Each
 vertex keeps a map from its colored edges (by neighbor) to their colors,
-stored in both orientations; that map is the coloring, all that `is_proper`
-and the file format read, in O(n + m) memory. The loop's queries and writes
-add the Misra-Gries table nbr[v][c], the neighbor of v along color c or -1,
-in O(n * max_degree): with it, a color lookup, a free-color test, the next
-step of an alternating path and the least free color are one lookup each.
+stored in both orientations; that map is the coloring, all that the
+checker (`certify`) and the file format read, in O(n + m) memory. The
+loop's queries and writes add the Misra-Gries table nbr[v][c], the
+neighbor of v along color c or -1, in O(n * max_degree): with it, a color
+lookup, a free-color test, the next step of an alternating path and the
+least free color are one lookup each.
 
 The table covers the colors below min(palette, max_degree + 1); a proper
 coloring never needs more. Its first reader builds it from the edge maps,
@@ -25,7 +26,8 @@ needed.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import NamedTuple
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadPaletteError,
@@ -37,53 +39,19 @@ from .errors import (
 )
 from .graph import Graph
 
+if TYPE_CHECKING:
+    from .certify import Verdict, Violation
+
 Color = int | None
 
 
-class Violation(NamedTuple):
-    """First defect found by a full-scan check.
+@cache
+def _certify():
+    # The checker, imported by the first check, so a plain run never loads
+    # it; cached, since an import statement per debug step costs 13 %.
+    import mgcolor.certify
 
-    kind is one of: non_edge, duplicate_color, incomplete, bound.
-    """
-
-    kind: str
-    edge: tuple[int, int] | None = None
-    vertex: int | None = None
-    colors: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        parts = [self.kind]
-        if self.edge is not None:
-            parts.append(f"edge ({self.edge[0]}, {self.edge[1]})")
-        if self.vertex is not None:
-            parts.append(f"vertex {self.vertex}")
-        if self.colors:
-            parts.append("colors " + ", ".join(str(c) for c in self.colors))
-        return " ".join(parts)
-
-
-class Verdict(NamedTuple):
-    """Structured result of a full coloring check.
-
-    proper: structural invariants hold (only real edges colored, no two
-    incident edges share a color).
-    complete: every graph edge is colored.
-    bound_ok: every color id fits the palette.
-    first_violation is present exactly when one of the three is false; when
-    several categories fail, the reported one follows the fixed priority
-    non_edge, duplicate_color, incomplete, bound, with ascending scan order
-    inside each category.
-    """
-
-    proper: bool
-    complete: bool
-    colors_used: int
-    bound_ok: bool
-    first_violation: Violation | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.proper and self.complete and self.bound_ok
+    return mgcolor.certify
 
 
 class EdgeColoring:
@@ -92,7 +60,7 @@ class EdgeColoring:
     Constructing one gives the empty coloring (everything uncolored).
     """
 
-    __slots__ = ("graph", "palette", "_colors", "_nbr", "_colored")
+    __slots__ = ("graph", "palette", "_colors", "_nbr")
 
     def __init__(self, graph: Graph, palette: int):
         if palette < 1:
@@ -104,7 +72,6 @@ class EdgeColoring:
         # nbr[v][c]: the neighbor of v along color c, or -1. An index of
         # _colors, None until `_table()` builds it.
         self._nbr: list[list[int]] | None = None
-        self._colored = 0
 
     def _table(self) -> list[list[int]]:
         """The table, built from the edge maps on first use; its readers take
@@ -190,7 +157,7 @@ class EdgeColoring:
 
     def count_colored(self) -> int:
         """Number of undirected edges currently colored."""
-        return self._colored
+        return sum(map(len, self._colors)) // 2
 
     def colors_used(self) -> int:
         """Number of distinct color ids currently present."""
@@ -247,8 +214,6 @@ class EdgeColoring:
             elif old is not None:
                 del cx[f], colors[f][x]
             carry = old
-        # Each edge takes the color the next one gave up: the sum telescopes.
-        self._colored += (color is not None) - (carry is not None)
 
     def kempe_walk(self, x: int, a: int, b: int) -> tuple[int, ...]:
         """The alternating path from x along a, b, a, ... to the first vertex
@@ -270,8 +235,7 @@ class EdgeColoring:
         a, b, a, ... from seq[0], take b, a, b, .... Each edge's two map
         entries are written once, and each path vertex's a and b slots are
         cleared before the edges at it set theirs. The path is the caller's
-        to prove maximal on a proper coloring, with a and b in the table; its
-        edges stay colored, so the colored count is left alone."""
+        to prove maximal on a proper coloring, with a and b in the table."""
         colors, nbr = self._colors, self._nbr or self._table()
         u = nu = None
         col, other = a, b
@@ -291,92 +255,17 @@ class EdgeColoring:
         dup.palette = self.palette
         dup._colors = [dict(row) for row in self._colors]
         dup._nbr = self._nbr and [row[:] for row in self._nbr]
-        dup._colored = self._colored
         return dup
 
     # -- checking --------------------------------------------------------
 
     def is_proper(self) -> Verdict:
-        """Full check of every invariant against the graph.
-
-        Reads each vertex's colored edges, never the table, so it also
-        diagnoses improper states, such as `parse_coloring` may load. In
-        O(degree), a set decides whether a vertex's colors are distinct, and
-        a count of its neighbors among its colored ones whether those are
-        all neighbors; only a vertex that fails is walked in sorted order,
-        O(degree log degree), against the graph's neighbor index.
-        One min/max over all colors decides the palette bound, and only
-        when it fails are the colored edges searched for the first one
-        outside it. A proper coloring costs O(n + m). Within each kind the
-        first violation is the first in (u, v) order, except `incomplete`,
-        which follows canonical edge order; a vertex whose colored edges
-        are exactly its graph edges is skipped there.
-        """
-        g = self.graph
-        n, c = g.n, self.palette
-        rows = self._colors
-        adj = g.adj
-        non_edge = duplicate = bound = incomplete = None
-        seen_colors: set[int] = set()
-        for u, row in enumerate(rows):
-            used = set(row.values())
-            seen_colors |= used
-            # adj[u] names each neighbor once, so the count reaches len(row)
-            # exactly when every colored neighbor is a graph neighbor.
-            on_edges = sum(map(row.__contains__, adj[u])) == len(row)
-            if incomplete is None and not (on_edges and len(row) == len(adj[u])):
-                v = next((v for v in adj[u] if v > u and v not in row), None)
-                if v is not None:
-                    incomplete = Violation("incomplete", edge=(u, v))
-            if on_edges and len(used) == len(row):
-                continue
-            index = g._index()
-            row_seen: set[int] = set()
-            for v in sorted(row):
-                x = row[v]
-                if duplicate is None and x in row_seen:
-                    duplicate = Violation(
-                        "duplicate_color", vertex=u, edge=(u, v), colors=(x,)
-                    )
-                row_seen.add(x)
-                # A non-edge is reported from its lower row; a key outside
-                # [0, n) has no row of its own, so it is reported from here.
-                if non_edge is None and v not in index[u] and (v > u or not 0 <= v < n):
-                    non_edge = Violation("non_edge", edge=(u, v), colors=(x,))
-        if seen_colors and not (min(seen_colors) >= 0 and max(seen_colors) < c):
-            # Both orientations are stored, so some (u, v > u) carries it,
-            # or a row holds it under a key outside [0, n).
-            u, v = min((u, v) for u, row in enumerate(rows) for v, x in row.items()
-                       if (v > u or not 0 <= v < n) and not 0 <= x < c)
-            bound = Violation("bound", edge=(u, v), colors=(rows[u][v],))
-
-        proper = non_edge is None and duplicate is None
-        return Verdict(
-            proper=proper,
-            complete=incomplete is None,
-            colors_used=len(seen_colors),
-            bound_ok=bound is None,
-            first_violation=non_edge or duplicate or incomplete or bound,
-        )
+        """`certify.is_proper` of this coloring's edge maps."""
+        return _certify().is_proper(self.graph, self.palette, self._colors)
 
     def violation_at(self, vertices: Iterable[int]) -> Violation | None:
-        """Properness check of the rows of `vertices` only.
-
-        A non_edge or duplicate_color defect lives in one vertex's row, and
-        writing edge {u, v} changes only rows u and v. So if the coloring
-        was proper and has since been written only on edges between
-        `vertices`, this gives the verdict of `is_proper()` in O(sum of
-        their degrees). None when every listed row is clean; otherwise the
-        full scan runs, and its first violation is returned.
-        """
-        rows, g = self._colors, self.graph
-        index = g._adj_index or g._index()
-        for u in vertices:
-            row = rows[u]
-            if not (row.keys() <= index[u].keys() and len(set(row.values())) == len(row)):
-                verdict = self.is_proper()
-                return None if verdict.proper else verdict.first_violation
-        return None
+        """`certify.violation_at`: `is_proper()`'s verdict from some rows."""
+        return _certify().violation_at(self.graph, self.palette, self._colors, vertices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
@@ -388,7 +277,7 @@ class EdgeColoring:
         )
 
     def __repr__(self) -> str:
-        n, palette, colored = self.graph.n, self.palette, self._colored
+        n, palette, colored = self.graph.n, self.palette, self.count_colored()
         return f"EdgeColoring(n={n}, palette={palette}, colored={colored})"
 
 

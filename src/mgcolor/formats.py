@@ -1,8 +1,9 @@
 """The coloring file format: `format_coloring` writes it, `parse_coloring`
-reads it back against a graph.
+reads it back against a graph, and `_read_rows`, the reader inside
+`parse_coloring`, gives `check` its edge maps alone.
 
-`mgcolor.coloring` binds both functions too, as the same objects, and
-imports this module at its end; so this module imports `EdgeColoring`
+`mgcolor.coloring` binds both public functions too, as the same objects,
+and imports this module at its end; so this module imports `EdgeColoring`
 only inside `parse_coloring`, and either module may be imported first.
 The two are split so that neither compile is as large as both together:
 where no bytecode is cached, a process's max RSS follows its largest
@@ -50,21 +51,29 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
     strict about syntax, duplicate edge lines, and dimensions; the header's
     colors_used field is informational and not validated. Memory follows
     the graph and the number of lines, never the header's palette.
-
-    One pass validates each line once and writes each edge line into the
-    two edge maps, and no table: checking a file costs O(n + m) memory.
     """
     from .coloring import EdgeColoring  # here: `coloring` imports this module
 
+    # As in `copy`: `__init__`'s empty rows would stand beside these.
+    coloring = EdgeColoring.__new__(EdgeColoring)
+    coloring.graph, coloring._nbr = graph, None
+    coloring.palette, coloring._colors = _read_rows(graph, text)
+    return coloring
+
+
+def _read_rows(graph: Graph, text: str) -> tuple[int, list[dict[int, int]]]:
+    """The header's palette and the edge maps, row u mapping each colored
+    neighbor of u to its color. One pass validates each line once and
+    writes each edge line into both maps, and no table: O(n + m) memory."""
     n = graph.n
-    coloring: EdgeColoring | None = None
+    rows: list[dict[int, int]] | None = None
     for lineno, line in enumerate(_lines(text), start=1):
         fields = line.split()
         if not fields:
             continue
         tag = fields[0]
         if tag == "e":
-            if coloring is None:
+            if rows is None:
                 raise ParseError("edge line before 's' header", lineno)
             if len(fields) != 4:
                 raise ParseError("edge line must be 'e <u> <v> <color>'", lineno)
@@ -86,7 +95,7 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
         elif tag[0] == "c":
             continue
         elif tag == "s":
-            if coloring is not None:
+            if rows is not None:
                 raise ParseError("duplicate 's' header", lineno)
             if len(fields) != 5:
                 raise ParseError(
@@ -100,12 +109,10 @@ def parse_coloring(graph: Graph, text: str) -> EdgeColoring:
                 )
             if palette < 1:
                 raise ParseError("palette must be >= 1", lineno)
-            coloring = EdgeColoring(graph, palette)
-            rows = coloring._colors
             ids = list(range(n))  # one int object per vertex, as in `Graph`
+            rows = [{} for _ in ids]
         else:
             raise ParseError(f"unknown line type {tag!r}", lineno)
-    if coloring is None:
+    if rows is None:
         raise ParseError("missing 's' header")
-    coloring._colored = sum(map(len, rows)) // 2
-    return coloring
+    return palette, rows

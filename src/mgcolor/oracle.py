@@ -18,7 +18,8 @@ from .errors import BadParamsError, DimensionMismatchError, InvalidColorError, T
 from .graph import Graph
 
 if TYPE_CHECKING:  # `cli` imports this module in every process
-    from .coloring import EdgeColoring, Verdict
+    from .certify import Verdict
+    from .coloring import EdgeColoring
 
 DEFAULT_MAX_EDGES = 25
 

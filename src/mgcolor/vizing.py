@@ -104,11 +104,12 @@ def extend_coloring(
     With `debug`, the full `is_proper` scan runs once, before the first
     step. Each step then runs each lemma checker once on each state it
     reaches: the fan as built, the path before and after its inversion,
-    the subfan after it, and the rotation. The building blocks check
-    nothing themselves. Properness is checked on the rows the step wrote,
-    which keeps a debug step at about the cost of the step. A write off
-    the step's fan and path edges escapes these checks: one more full
-    `is_proper` after the last step reports it.
+    the subfan after it, and the rotation, after which the step's own edge
+    must be colored. The building blocks check nothing themselves.
+    Properness is checked on the rows the step wrote, which keeps a debug
+    step at about the cost of the step. A write off the step's fan and
+    path edges escapes these checks: one more full `is_proper` after the
+    last step reports it.
     """
     g = coloring.graph
     if coloring.palette < g.max_degree() + 1:
@@ -124,8 +125,9 @@ def extend_coloring(
             )
     coloring._table()
 
+    after = coloring.count_colored()
     for x, y in edges:
-        before = coloring.count_colored()
+        before = after
 
         fan = maximal_fan(coloring, x, y)
         if debug:
@@ -175,12 +177,11 @@ def extend_coloring(
         rotate_fan(coloring, subfan, a)
         if debug and (bad := coloring.violation_at((x, *subfan.seq))) is not None:
             raise InvariantError(f"rotation broke properness: {bad}")
-
-        after = coloring.count_colored()
-        if debug and after != before + 1:
-            raise InvariantError(
-                f"iteration on ({x}, {y}) colored {after - before} edges, not 1"
-            )
+        # The path's edges and the subfan's but {x, y} were colored, and a
+        # rotation moves those colors: {x, y} colored is one edge more.
+        if debug and coloring.color_of(x, y) is None:
+            raise InvariantError(f"iteration on ({x}, {y}) left it uncolored")
+        after = before + 1
         if on_step is not None:
             # Records are built by `tuple.__new__`, one C call that skips
             # the arity check of the generated `__new__`.

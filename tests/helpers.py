@@ -29,11 +29,12 @@ first-match scan per fan extension, one `reference_assign` per rotated
 edge, one `neighbor` lookup per path vertex. `reference_assign` pops the
 edge from the private maps and inserts it again with its new color; the
 kernels, which write in place, must leave the same state.
-`reference_rotate_fan` and `reference_parse_coloring` write through it,
-not through the code they check. `reference_backtrack_color` is the exact
-search that pins only its first edge to color 0, and so repeats each dead
-end under every relabeling of the other colors; `backtrack_color` must
-return its witness unchanged. `witness_coloring` writes such a witness
+`reference_rotate_fan` writes through it, not through the code it checks;
+`reference_parse_coloring` writes the two edge maps directly, as
+`parse_coloring` does, and builds no table. `reference_backtrack_color` is
+the exact search that pins only its first edge to color 0, and so
+repeats each dead end under every relabeling of the other colors;
+`backtrack_color` must return its witness unchanged. `witness_coloring` writes such a witness
 through the validated setter. `free_colors_on` lists a vertex's free
 colors through the public `is_free`. The building blocks check nothing
 themselves, so the `checked_*` wrappers run the lemma checkers around each
@@ -91,7 +92,6 @@ def set_edge_color_unchecked(coloring: EdgeColoring, u: int, v: int, color: Colo
         cu[v] = cv[u] = color
     elif old is not None:
         del cu[v], cv[u]
-    coloring._colored += (color is not None) - (old is not None)
     coloring._nbr = None
 
 
@@ -122,7 +122,6 @@ def cycle_in_the_table() -> EdgeColoring:
     coloring.set_edge_color(1, 2, 1)
     coloring._colors[0][2] = coloring._colors[2][0] = 0
     coloring._nbr[2][0] = 0
-    coloring._colored += 1
     return coloring
 
 
@@ -421,7 +420,8 @@ def reference_parse_coloring(graph: Graph, text: str) -> EdgeColoring:
                 raise ParseError("colors are 1-based and must be >= 1", lineno)
             if coloring.color_of(u - 1, v - 1) is not None:
                 raise ParseError(f"duplicate edge line ({u}, {v})", lineno)
-            reference_assign(coloring, u - 1, v - 1, col - 1)
+            rows = coloring._colors
+            rows[u - 1][v - 1] = rows[v - 1][u - 1] = col - 1
         else:
             raise ParseError(f"unknown line type {fields[0]!r}", lineno)
     if coloring is None:
@@ -500,13 +500,11 @@ def reference_assign(
                 nu[old] = -1
             if nv[old] == u:
                 nv[old] = -1
-        coloring._colored -= 1
     if color is not None:
         cu[v] = cv[u] = color
         if 0 <= color < len(nu):
             nu[color] = v
             nv[color] = u
-        coloring._colored += 1
     return old
 
 

@@ -97,6 +97,15 @@ MUTANTS = (
            ("tests/test_debug_checks.py::test_a_step_that_colors_a_pending_edge_is_caught",
             "tests/test_vizing.py::TestExtendColoring"
             "::test_debug_rejects_an_already_colored_pending_edge")),
+    # A rotation that skips the step's own edge keeps the coloring proper;
+    # the debug check that {x, y} is colored after the step reports it, and
+    # a fault injected there shows the check is live.
+    Mutant("rotation-skips-the-step-edge", "fan.py",
+           "coloring.shift_fan(x, seq, color)", "coloring.shift_fan(x, seq[1:], color)",
+           ONE_STEP[:1]),
+    Mutant("step-edge-check-skipped", "vizing.py",
+           "if debug and coloring.color_of(x, y) is None:", "if False:",
+           ("tests/test_debug_checks.py::test_a_rotation_that_skips_the_step_edge_is_caught",)),
     # Records are built with `tuple.__new__`, which checks no arity.
     Mutant("step-trace-one-field-short", "vizing.py",
            "len(subfan.seq), before, after", "len(subfan.seq), before",
@@ -120,10 +129,6 @@ MUTANTS = (
            ("tests/test_kernels.py::test_a_rotation_keeps_an_x_slot_it_has_just_written",
             "tests/test_kernels.py"
             "::test_a_rotation_that_revisits_a_vertex_keeps_the_slot_it_wrote_last")),
-    Mutant("colored-count-wrong", "coloring.py",
-           "self._colored += (color is not None) - (carry is not None)",
-           "self._colored += color is not None",
-           KERNELS),
     Mutant("uncolor-one-orientation", "coloring.py",
            "del cx[f], colors[f][x]", "del cx[f]",
            ("tests/test_kernels.py::test_uncoloring_clears_both_orientations",)),
@@ -139,8 +144,8 @@ MUTANTS = (
     # at its width is refused, and so is one a vertex repeats, and a path
     # color that would index a row from its end.
     Mutant("parse-builds-the-table", "formats.py",
-           "coloring._colored = sum(map(len, rows)) // 2",
-           "coloring._colored = sum(map(len, rows)) // 2\n    coloring._table()",
+           "coloring.palette, coloring._colors = _read_rows(graph, text)",
+           "coloring.palette, coloring._colors = _read_rows(graph, text)\n    coloring._table()",
            ("tests/test_limits.py::test_check_holds_the_edge_maps_and_no_table",)),
     Mutant("table-range-check-admits-width", "coloring.py",
            "if not 0 <= c < width:", "if not 0 <= c <= width:",
@@ -160,14 +165,15 @@ MUTANTS = (
            ("tests/test_coloring.py::TestNeighborIndex"
             "::test_plain_color_and_check_of_a_valid_file_build_no_index",
             "tests/test_limits.py::test_the_parsed_graph_holds_its_adjacency_lists_alone")),
-    # The count never exceeds len(row), so `>=` would be no mutant at all.
-    Mutant("is-proper-admits-a-non-edge", "coloring.py",
+    # The checker, `certify`. The count never exceeds len(row), so `>=`
+    # would be no mutant at all.
+    Mutant("is-proper-admits-a-non-edge", "certify.py",
            "sum(map(row.__contains__, adj[u])) == len(row)",
            "sum(map(row.__contains__, adj[u])) <= len(row)",
            ("tests/test_coloring.py::TestIsProper::test_non_edge_violation",
             "tests/test_coloring.py::TestNeighborIndex"
             "::test_an_invalid_file_is_diagnosed_with_the_index[non_edge]")),
-    Mutant("violation-at-admits-a-non-edge", "coloring.py",
+    Mutant("violation-at-admits-a-non-edge", "certify.py",
            "if not (row.keys() <= index[u].keys() and len(set(row.values())) == len(row)):",
            "if not len(set(row.values())) == len(row):",
            ("tests/test_coloring.py::TestIsProper::test_a_local_check_reports_a_non_edge",
@@ -201,10 +207,10 @@ MUTANTS = (
            "want = path.a if len(path.seq) % 2 else path.b",
            "want = path.b if len(path.seq) % 2 else path.a",
            ("tests/test_altpath.py::TestNextColor::test_base_cases",)),
-    Mutant("is-proper-skips-duplicates", "coloring.py",
+    Mutant("is-proper-skips-duplicates", "certify.py",
            "if duplicate is None and x in row_seen:", "if False:",
            ("tests/test_coloring.py::TestIsProper::test_duplicate_color_violation",)),
-    Mutant("violation-at-returns-none", "coloring.py",
+    Mutant("violation-at-returns-none", "certify.py",
            "return None if verdict.proper else verdict.first_violation", "return None",
            ("tests/test_debug_checks.py::test_local_verdict_equals_full_verdict_after_a_fault",)),
     # The single-pass parsers against the line-by-line reference parsers.

@@ -66,6 +66,13 @@ NO_SRC_CALLER = {
     # `coloring.set_edge_color.calls`; the exact oracle, its last caller in
     # `src/`, returns its witness as a tuple of colors.
     "set_edge_color",
+    # The library's reader and checker of a coloring as an `EdgeColoring`,
+    # which perfbench/tracing.py wraps for `coloring.parse_coloring.s` and
+    # `oracle.verify_coloring.s`. `check`, their last caller in `src/`,
+    # reads a file's edge maps and judges them with `certify`, never
+    # loading `coloring.py`.
+    "parse_coloring",
+    "verify_coloring",
 }
 
 
@@ -119,6 +126,24 @@ def test_trace_targets_resolve():
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(attr)), label
+
+
+def test_the_checker_imports_none_of_the_code_it_checks():
+    # `certify` judges the algorithm's output, so it stands apart from the
+    # table, the kernels and the loop: it may import `graph`, `errors` and
+    # the standard library, for type checks too.
+    tree = ast.parse((Path(mgcolor.__file__).parent / "certify.py").read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ["mgcolor"] * (node.level > 0) + [node.module] * bool(node.module)
+            sources.add(".".join(base))
+            sources.update(".".join([*base, alias.name]) for alias in node.names)
+    package = {s.split(".")[1] for s in sources if s.startswith("mgcolor.")}
+    assert package <= {"graph", "errors"}
+    assert {s.split(".")[0] for s in sources} - {"mgcolor"} <= sys.stdlib_module_names
 
 
 @pytest.mark.parametrize("first", ["formats", "coloring"])

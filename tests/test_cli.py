@@ -371,17 +371,24 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
 
 LOOP = {"mgcolor.vizing", "mgcolor.fan", "mgcolor.altpath"}
 FORMAT = {"mgcolor.coloring", "mgcolor.formats"}
+CERTIFY = {"mgcolor.certify"}
 
 
 @pytest.mark.parametrize(
     "command, loads, skips",
     [
-        pytest.param(["color", "{g}", "-o", "{out}"], LOOP | FORMAT, set(), id="color"),
-        pytest.param(["check", "{g}", "{c}"], FORMAT, LOOP, id="check"),
-        pytest.param(["oracle", "{g}"], {"mgcolor.graph", "mgcolor.oracle"}, LOOP | FORMAT,
-                     id="oracle"),
-        pytest.param(["gen", "gnp", "20", "0.2"], {"mgcolor.graph"}, LOOP | FORMAT, id="gen"),
-        pytest.param(["stats", "{g}"], {"mgcolor.graph"}, LOOP | FORMAT, id="stats"),
+        # A plain run checks nothing; `--debug-checks` loads the checker.
+        pytest.param(["color", "{g}", "-o", "{out}"], LOOP | FORMAT, CERTIFY, id="color"),
+        pytest.param(["color", "{g}", "-o", "{out}", "--debug-checks"],
+                     LOOP | FORMAT | CERTIFY, set(), id="color-debug"),
+        # `check` judges the file's edge maps without the code it checks.
+        pytest.param(["check", "{g}", "{c}"], {"mgcolor.formats"} | CERTIFY,
+                     LOOP | {"mgcolor.coloring"}, id="check"),
+        pytest.param(["oracle", "{g}"], {"mgcolor.graph", "mgcolor.oracle"},
+                     LOOP | FORMAT | CERTIFY, id="oracle"),
+        pytest.param(["gen", "gnp", "20", "0.2"], {"mgcolor.graph"}, LOOP | FORMAT | CERTIFY,
+                     id="gen"),
+        pytest.param(["stats", "{g}"], {"mgcolor.graph"}, LOOP | FORMAT | CERTIFY, id="stats"),
     ],
 )
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, loads, skips):

@@ -9,7 +9,8 @@ that is colored, or listed again, is refused at its own step by
 `maximal_fan`, in either mode. These tests show that this gives
 the verdicts of the full scans, that the full scans run only at the two
 ends of a run, that each checker runs once per state, that a fault in any
-building block is caught at its step, and that a one-step run holds its
+building block is caught at its step, a rotation that leaves the step's
+own edge uncolored included, and that a one-step run holds its
 lemmas on every state of every small graph and on seeded samples of other
 adjacency orders and of five-vertex states.
 """
@@ -217,6 +218,23 @@ def test_a_faulty_building_block_is_caught_at_its_step(name, fault, error, messa
     with mock.patch.object(vizing, name, fault):
         with pytest.raises(error, match=message):
             mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True)
+
+
+def rotate_all_but_the_step_edge(coloring, f, color):
+    # Each later fan edge takes the next one's color and the last `color`,
+    # as in a rotation, so the coloring stays proper; {x, y} stays uncolored.
+    coloring.shift_fan(f.center, f.seq[1:], color)
+
+
+def test_a_rotation_that_skips_the_step_edge_is_caught():
+    # No properness check sees this fault, and the full scan after the last
+    # step finds the coloring proper, only incomplete.
+    g = gnp_graph(120, 0.1, seed=1)
+    x, y = next(iter(g.edges()))
+    with mock.patch.object(vizing, "rotate_fan", rotate_all_but_the_step_edge):
+        with pytest.raises(InvariantError, match=re.escape(
+                f"iteration on ({x}, {y}) left it uncolored")):
+            mk_edge_coloring(g, debug=True)
 
 
 def proper_partial_colorings(g: Graph):

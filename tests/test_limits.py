@@ -184,8 +184,9 @@ def test_parse_coloring_holds_no_list_of_lines(g2000):
 
 
 def test_check_holds_the_edge_maps_and_no_table(g2000):
-    # `parse_coloring` fills the two edge maps alone, and `verify_coloring`
-    # reads only them, so `check` never builds the Misra-Gries table. About
+    # `parse_coloring`'s reader, which `check` calls alone, fills the two
+    # edge maps, and the checker reads only them, so neither builds the
+    # Misra-Gries table. About
     # 85 B per edge held; with the table's n * (Δ + 1) slots, about 124.
     g, _, text = g2000
     coloring, _, held = traced_peak(lambda: parse_coloring(g, text))
