@@ -10,7 +10,8 @@ them, then makes one trusted `EdgeColoring.kempe_walk`; `invert` has none
 and is one trusted `EdgeColoring.kempe_swap`. `extend_coloring(debug=True)`
 runs the path checkers on the paths it builds and inverts; it checks an
 inversion as `check_path` of the path with a and b swapped plus
-`violation_at` of its vertices.
+`violation_at` of its vertices. The checkers read the edge maps and the
+table directly and call neither kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .coloring import EdgeColoring
-from .errors import PathInvariantError, PreconditionError
+from .errors import PathInvariantError, PreconditionError, VertexRangeError
 
 
 class AltPath(NamedTuple):
@@ -33,22 +34,35 @@ def check_path(coloring: EdgeColoring, path: AltPath) -> None:
     """Raise PathInvariantError unless `path` is a valid alternating path.
 
     Edge i of the path (from seq[i] to seq[i + 1]) must be colored a when i
-    is even and b when i is odd.
+    is even and b when i is odd. After the sequence and color tests, one
+    pass reads the edge maps directly, in path order: each vertex's range
+    (VertexRangeError, as `EdgeColoring.color_of` raises it) is tested
+    before the edge that ends at it, so a path of one vertex tests none.
     """
     seq = path.seq
     if not seq:
         raise PathInvariantError("path sequence is empty")
     if len(set(seq)) != len(seq):
         raise PathInvariantError(f"path sequence {seq} has duplicates")
-    if path.a is None or path.b is None:
+    a, b = path.a, path.b
+    if a is None or b is None:
         raise PathInvariantError("path colors must be real colors")
-    if path.a == path.b:
-        raise PathInvariantError(f"path colors must differ, got {path.a} twice")
-    for i in range(len(seq) - 1):
-        if coloring.color_of(seq[i], seq[i + 1]) != (path.b if i % 2 else path.a):
-            raise PathInvariantError(
-                f"edges along {seq} do not alternate colors {path.a}, {path.b}"
-            )
+    if a == b:
+        raise PathInvariantError(f"path colors must differ, got {a} twice")
+    if len(seq) < 2:
+        return
+    colors = coloring._colors
+    n = coloring.graph.n
+    u = seq[0]
+    if not 0 <= u < n:
+        raise VertexRangeError(u, n)
+    want, other = a, b
+    for v in seq[1:]:
+        if not 0 <= v < n:
+            raise VertexRangeError(v, n)
+        if colors[u].get(v) != want:
+            raise PathInvariantError(f"edges along {seq} do not alternate colors {a}, {b}")
+        u, want, other = v, other, want
 
 
 def maximal_path(coloring: EdgeColoring, a: int, b: int, x: int) -> AltPath:
@@ -79,11 +93,17 @@ def is_maximal_path(coloring: EdgeColoring, path: AltPath) -> bool:
     """True iff the color the next edge would need is free on the last vertex.
 
     That color is a when the path has an odd number of vertices, else b.
+    It is read from the last vertex's table row, as `is_free` reads it.
     """
     if not path.seq:
         raise PathInvariantError("path sequence is empty")
     want = path.a if len(path.seq) % 2 else path.b
-    return coloring.is_free(path.seq[-1], want)
+    nbr = coloring._nbr or coloring._table()
+    v = path.seq[-1]
+    if not 0 <= v < len(nbr):
+        raise VertexRangeError(v, len(nbr))
+    row = nbr[v]
+    return not (0 <= want < len(row) and row[want] >= 0)
 
 
 def invert(coloring: EdgeColoring, path: AltPath) -> None:

@@ -148,12 +148,23 @@ class EdgeColoring:
             raise InvalidColorError(f"no free color on vertex {v} (palette {self.palette})")
 
     def edge_color_valid(self, u: int, v: int, color: Color) -> bool:
-        """True iff `color` is None or free on both endpoints of edge {u, v}."""
-        if not self.graph.has_edge(u, v):
+        """True iff `color` is None or free on both endpoints of edge {u, v}.
+
+        Raises what `Graph.has_edge` and `is_free` would, reading the
+        neighbor index and the two table rows directly."""
+        g = self.graph
+        n = g.n
+        if not 0 <= u < n:
+            raise VertexRangeError(u, n)
+        if not 0 <= v < n:
+            raise VertexRangeError(v, n)
+        if v not in (g._adj_index or g._index())[u]:
             raise NotAnEdgeError(u, v)
         if color is None:
             return True
-        return self.is_free(u, color) and self.is_free(v, color)
+        nbr = self._nbr or self._table()
+        ru = nbr[u]
+        return not (0 <= color < len(ru) and (ru[color] >= 0 or nbr[v][color] >= 0))
 
     def count_colored(self) -> int:
         """Number of undirected edges currently colored."""

@@ -11,7 +11,9 @@ one trusted `EdgeColoring` call. Each tests the range of its two vertices
 once, then reads the graph's neighbor lists and the edge map directly,
 raising what `Graph.has_edge` and `EdgeColoring.color_of` would.
 `extend_coloring(debug=True)` runs `check_fan` and `is_maximal_fan` on the
-fans it builds and rotates.
+fans it builds and rotates. The checkers read the neighbor index, the edge
+maps and the table directly, in one pass, and call none of the kernels
+whose fans they certify.
 """
 
 from __future__ import annotations
@@ -62,41 +64,73 @@ def maximal_fan(coloring: EdgeColoring, x: int, y: int) -> Fan:
 
 
 def check_fan(coloring: EdgeColoring, fan: Fan) -> None:
-    """Raise FanInvariantError unless `fan` is a valid fan on `coloring`."""
+    """Raise FanInvariantError unless `fan` is a valid fan on `coloring`.
+
+    In order: the sequence is nonempty and has no repeat; the center and
+    then each fan vertex is in range (VertexRangeError) and a neighbor of
+    the center, which one subset test of the neighbor index settles when
+    all are; then, position by position, each fan edge but the first is
+    colored, with a color free on the fan vertex before it, read from the
+    center's edge map and the table. It raises what `Graph.has_edge`,
+    `EdgeColoring.color_of` and `is_free` would.
+    """
     g = coloring.graph
-    x = fan.center
-    seq = fan.seq
+    x, seq = fan
     if not seq:
         raise FanInvariantError("fan sequence is empty")
-    if len(set(seq)) != len(seq):
+    members = set(seq)
+    if len(members) != len(seq):
         raise FanInvariantError(f"fan sequence {seq} has duplicates")
-    for f in seq:
-        if not g.has_edge(x, f):
-            raise FanInvariantError(f"fan vertex {f} is not a neighbor of {x}")
-    for i in range(len(seq) - 1):
-        col = coloring.color_of(x, seq[i + 1])
+    n = g.n
+    if not 0 <= x < n:
+        raise VertexRangeError(x, n)
+    at_x = (g._adj_index or g._index())[x]
+    if not at_x.keys() >= members:  # the index holds vertices in range only
+        f = next(f for f in seq if not (0 <= f < n and f in at_x))
+        if not 0 <= f < n:
+            raise VertexRangeError(f, n)
+        raise FanInvariantError(f"fan vertex {f} is not a neighbor of {x}")
+    cx = coloring._colors[x]
+    nbr = coloring._nbr
+    w = seq[0]
+    for f in seq[1:]:
+        col = cx.get(f)
         if col is None:
-            raise FanInvariantError(
-                f"fan edge ({x}, {seq[i + 1]}) is uncolored but not first"
-            )
-        if not coloring.is_free(seq[i], col):
-            raise FanInvariantError(
-                f"color {col} of edge ({x}, {seq[i + 1]}) is not free on {seq[i]}"
-            )
+            raise FanInvariantError(f"fan edge ({x}, {f}) is uncolored but not first")
+        # A table dropped by a fault is rebuilt, or refused, where `is_free`
+        # would first have read it.
+        row = (nbr or coloring._table())[w]
+        if 0 <= col < len(row) and row[col] >= 0:
+            raise FanInvariantError(f"color {col} of edge ({x}, {f}) is not free on {w}")
+        w = f
 
 
 def is_maximal_fan(coloring: EdgeColoring, fan: Fan) -> bool:
-    """True iff no neighbor of the center outside the fan can be appended."""
-    if not fan.seq:
+    """True iff no neighbor of the center outside the fan can be appended.
+
+    A neighbor z extends the fan when {x, z} is colored with a color free
+    on the last fan vertex. The center's colored edges are scanned against
+    the last vertex's table row here, not through `fan_extension`, the
+    kernel whose fans this certifies.
+    """
+    seq = fan.seq
+    if not seq:
         raise FanInvariantError("fan sequence is empty")
-    x = fan.center
-    n = coloring.graph.n
-    for v in (x, fan.last()):
+    x, last = fan.center, seq[-1]
+    g = coloring.graph
+    n = g.n
+    for v in (x, last):
         if not 0 <= v < n:
             raise VertexRangeError(v, n)
-    members = set(fan.seq)
-    outside = [z for z in coloring.graph.adj[x] if z not in members]
-    return not coloring.fan_extension(x, fan.last(), outside)
+    cx = coloring._colors[x]
+    row = (coloring._nbr or coloring._table())[last]
+    members = set(seq)
+    at_x = (g._adj_index or g._index())[x]
+    for z, c in cx.items():
+        # A colored non-edge, which only a fault writes, extends no fan.
+        if row[c] < 0 and z not in members and z in at_x:
+            return False
+    return True
 
 
 def rotate_fan(coloring: EdgeColoring, fan: Fan, color: Color) -> None:

@@ -156,7 +156,7 @@ def extend_coloring(
                 # `invert` writes only path edges, and they alternated
                 # a, b before, so the swap left them alternating b, a.
                 try:
-                    check_path(coloring, AltPath(b, a, path_seq))
+                    check_path(coloring, tuple.__new__(AltPath, (b, a, path_seq)))
                 except PathInvariantError as exc:
                     raise InvariantError(
                         f"inversion of {path_seq} violated the swap contract: {exc}"

@@ -180,28 +180,35 @@ MUTANTS = (
             "tests/test_debug_checks.py::test_local_verdict_equals_full_verdict_after_a_fault")),
     # The lemma checkers: one gone vacuous would pass whatever it is shown.
     Mutant("check-fan-skips-the-free-color-test", "fan.py",
-           "if not coloring.is_free(seq[i], col):", "if False:",
+           "if 0 <= col < len(row) and row[col] >= 0:", "if False:",
            ("tests/test_debug_checks.py::test_a_faulty_building_block_is_caught_at_its_step"
             "[find_subfan-whole_fan-SubfanError-invalid after inversion]",)),
     Mutant("check-fan-skips-the-uncolored-edge-test", "fan.py",
            """        if col is None:
-            raise FanInvariantError(
-                f"fan edge ({x}, {seq[i + 1]}) is uncolored but not first"
-            )
+            raise FanInvariantError(f"fan edge ({x}, {f}) is uncolored but not first")
 """,
            """        if col is None:
+            w = f
             continue
 """,
            ("tests/test_fan.py::TestCheckFan::test_rejects_broken_color_property",)),
+    Mutant("check-fan-skips-the-neighbor-test", "fan.py",
+           "if not at_x.keys() >= members:", "if False:",
+           ("tests/test_fan.py::TestSingleton::test_non_edge_rejected",)),
+    # `is_maximal_fan` scans the center's colored edges itself; a fan
+    # member's edge never extends the fan, whatever its color.
     Mutant("is-maximal-fan-always-true", "fan.py",
-           "return not coloring.fan_extension(x, fan.last(), outside)", "return True",
+           "if row[c] < 0 and z not in members and z in at_x:", "if False:",
            ("tests/test_fan.py::TestMaximalFan::test_prefix_of_maximal_fan_not_maximal",)),
+    Mutant("is-maximal-fan-counts-its-own-members", "fan.py",
+           "if row[c] < 0 and z not in members and z in at_x:", "if row[c] < 0 and z in at_x:",
+           ("tests/test_fan.py::TestMaximalFan::test_output_is_maximal",)),
     Mutant("check-path-skips-the-duplicate-test", "altpath.py",
            "if len(set(seq)) != len(seq):\n        raise PathInvariantError",
            "if False:\n        raise PathInvariantError",
            ("tests/test_altpath.py::TestAlternates::test_a_walk_round_a_cycle_is_not_a_path",)),
     Mutant("check-path-parity-flipped", "altpath.py",
-           "(path.b if i % 2 else path.a)", "(path.a if i % 2 else path.b)",
+           "want, other = a, b", "want, other = b, a",
            ("tests/test_altpath.py::TestMaximalPath::test_two_vertex_path",)),
     Mutant("is-maximal-path-asks-for-the-wrong-color", "altpath.py",
            "want = path.a if len(path.seq) % 2 else path.b",

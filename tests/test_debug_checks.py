@@ -10,13 +10,16 @@ that is colored, or listed again, is refused at its own step by
 the verdicts of the full scans, that the full scans run only at the two
 ends of a run, that each checker runs once per state, that a fault in any
 building block is caught at its step, a rotation that leaves the step's
-own edge uncolored included, and that a one-step run holds its
+own edge uncolored included, that the fan and path checkers certify
+without the kernels they check, and that a one-step run holds its
 lemmas on every state of every small graph and on seeded samples of other
 adjacency orders and of five-vertex states.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import random
 import re
@@ -218,6 +221,36 @@ def test_a_faulty_building_block_is_caught_at_its_step(name, fault, error, messa
     with mock.patch.object(vizing, name, fault):
         with pytest.raises(error, match=message):
             mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True)
+
+
+def fan_extension_one_short(coloring, x, w, candidates):
+    return REAL_FAN_EXTENSION(coloring, x, w, candidates)[:-1]
+
+
+REAL_FAN_EXTENSION = EdgeColoring.fan_extension
+
+
+def test_a_faulty_fan_kernel_is_caught_as_a_fan_that_is_not_maximal():
+    # The fault is in the kernel that `maximal_fan` calls, not in the
+    # wrapper: `is_maximal_fan` must not certify a fan through the kernel
+    # that built it.
+    with mock.patch.object(EdgeColoring, "fan_extension", fan_extension_one_short):
+        with pytest.raises(NotMaximalError, match="constructed fan"):
+            mk_edge_coloring(gnp_graph(120, 0.1, seed=1), debug=True)
+
+
+def test_the_lemma_checkers_do_not_call_the_kernels_they_certify():
+    kernels = {"fan_extension", "shift_fan", "kempe_walk", "kempe_swap"}
+    for module, names in [(fan, {"check_fan", "is_maximal_fan"}),
+                          (altpath, {"check_path", "is_maximal_path"})]:
+        tree = ast.parse(inspect.getsource(module))
+        checkers = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name in names]
+        assert {node.name for node in checkers} == names
+        for node in checkers:
+            used = {sub.attr if isinstance(sub, ast.Attribute) else sub.id
+                    for sub in ast.walk(node) if isinstance(sub, (ast.Attribute, ast.Name))}
+            assert not used & kernels, (node.name, used & kernels)
 
 
 def rotate_all_but_the_step_edge(coloring, f, color):
