@@ -37,7 +37,8 @@ def check_path(coloring: EdgeColoring, path: AltPath) -> None:
     is even and b when i is odd. After the sequence and color tests, one
     pass reads the edge maps directly, in path order: each vertex's range
     (VertexRangeError, as `EdgeColoring.color_of` raises it) is tested
-    before the edge that ends at it, so a path of one vertex tests none.
+    before the edge that ends at it, and seq[0]'s first, so a path of one
+    vertex is range-checked as `is_maximal_path` checks it.
     """
     seq = path.seq
     if not seq:
@@ -49,8 +50,6 @@ def check_path(coloring: EdgeColoring, path: AltPath) -> None:
         raise PathInvariantError("path colors must be real colors")
     if a == b:
         raise PathInvariantError(f"path colors must differ, got {a} twice")
-    if len(seq) < 2:
-        return
     colors = coloring._colors
     n = coloring.graph.n
     u = seq[0]

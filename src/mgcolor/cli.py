@@ -152,32 +152,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    g = _build_family(args.family, args.params, args.seed)
+    params = args.params
+    if len(params) > 2:
+        raise BadParamsError(f"gen takes at most two parameters: n p, got {len(params)}")
+    n = _int_param(params[0], "n") if params else None
+    p = _float_param(params[1], "p") if len(params) > 1 else None
+    g = gen_family(args.family, n=n, p=p, seed=args.seed)
     with _open_out(args.output) as out:
         out.write(format_dimacs(g))
     return EXIT_OK
-
-
-def _build_family(family: str, params: list[str], seed: int) -> Graph:
-    if family not in FAMILIES:
-        raise BadParamsError(
-            f"unknown family {family!r}; expected one of {FAMILIES}"
-        )
-    n: int | None = None
-    p: float | None = None
-    if family == "petersen":
-        if params:
-            raise BadParamsError("petersen takes no parameters")
-    elif family == "gnp":
-        if len(params) != 2:
-            raise BadParamsError("gnp needs parameters: n p")
-        n = _int_param(params[0], "n")
-        p = _float_param(params[1], "p")
-    else:
-        if len(params) != 1:
-            raise BadParamsError(f"{family} needs one parameter: n")
-        n = _int_param(params[0], "n")
-    return gen_family(family, n=n, p=p, seed=seed)
 
 
 def _int_param(s: str, name: str) -> int:

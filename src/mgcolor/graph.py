@@ -257,30 +257,23 @@ def gen_family(
     p: float | None = None,
     seed: int = 0,
 ) -> Graph:
-    """Build a named graph family; see FAMILIES for the accepted names."""
-    if family == "complete":
-        return complete_graph(_require_n(family, n))
-    if family == "cycle":
-        return cycle_graph(_require_n(family, n))
-    if family == "path":
-        return path_graph(_require_n(family, n))
-    if family == "star":
-        return star_graph(_require_n(family, n))
+    """Build a named graph family: `gnp` takes n and p, `petersen` neither,
+    and every other name in FAMILIES n alone. Another name, a missing
+    parameter or one the family does not take raises BadParamsError."""
+    if family not in FAMILIES:
+        raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "petersen":
         if n is not None or p is not None:
             raise BadParamsError("petersen takes no parameters")
         return petersen_graph()
     if family == "gnp":
-        if p is None:
-            raise BadParamsError("gnp needs parameters n and p")
-        return gnp_graph(_require_n(family, n), p, seed)
-    raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def _require_n(family: str, n: int | None) -> int:
-    if n is None:
-        raise BadParamsError(f"{family} needs parameter n")
-    return n
+        if n is None or p is None:
+            raise BadParamsError("gnp needs parameters: n p")
+        return gnp_graph(n, p, seed)
+    if n is None or p is not None:
+        raise BadParamsError(f"{family} needs one parameter: n")
+    return {"complete": complete_graph, "cycle": cycle_graph,
+            "path": path_graph, "star": star_graph}[family](n)
 
 
 def parse_dimacs(text: str) -> Graph:

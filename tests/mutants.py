@@ -303,6 +303,22 @@ MUTANTS = (
     Mutant("oracle-colors-tried-highest-first", "oracle.py",
            "range(min(k, opened + 1))", "reversed(range(min(k, opened + 1)))",
            (ORACLE_PIN,)),
+    # A one-vertex path is range-checked like any other.
+    Mutant("check-path-skips-a-one-vertex-path", "altpath.py",
+           "    colors = coloring._colors\n    n = coloring.graph.n\n",
+           "    if len(seq) < 2:\n        return\n"
+           "    colors = coloring._colors\n    n = coloring.graph.n\n",
+           ("tests/test_checker_errors.py::test_a_lemma_checker_raises_its_first_defect"
+            "[path-one-vertex-out-of-range]",)),
+    # Each family's parameters are known in `gen_family` alone.
+    Mutant("gen-family-ignores-p-for-a-one-parameter-family", "graph.py",
+           "if n is None or p is not None:", "if n is None:",
+           ("tests/test_graph.py::TestGenerators::test_gen_family_enforces_each_familys_parameters",)),
+    # The tracer's observers read the loop's arguments and records: one
+    # that raises drops its metrics while the bench still exits 0.
+    Mutant("loop-gets-a-one-shot-edge-iterator", "vizing.py",
+           "extend_coloring(coloring, g.edges(),", "extend_coloring(coloring, iter(g.edges()),",
+           ("tests/test_api.py::test_the_tracers_observers_read_every_traced_call",)),
     # The process entry point: with stdout block-buffered, an exit that
     # skips its flush loses what `main` printed.
     Mutant("entry-skips-the-stdout-flush", "__main__.py",

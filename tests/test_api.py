@@ -6,9 +6,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -113,12 +115,17 @@ def test_only_the_main_loop_takes_debug():
     assert sorted(takers) == TAKES_DEBUG
 
 
-def test_trace_targets_resolve():
-    # The tracer records a name it cannot find as missing and carries on,
-    # so a rename would silently drop that name's per-layer metrics.
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_targets_resolve():
+    # The tracer records a name it cannot find as missing and carries on,
+    # so a rename would silently drop that name's per-layer metrics.
+    tracing = load_tracing()
     assert tracing.TARGETS
     for label, modname, qualname, _observe in tracing.TARGETS:
         owner = importlib.import_module(modname)
@@ -126,6 +133,43 @@ def test_trace_targets_resolve():
         if owner_name:
             owner = getattr(owner, owner_name)
         assert callable(vars(owner).get(attr)), label
+
+
+@pytest.mark.parametrize("flags", [["--trace", "g.trace"], ["--debug-checks"]],
+                         ids=["traced", "checked"])
+def test_the_tracers_observers_read_every_traced_call(tmp_path, monkeypatch, flags):
+    # An observer that raises (say, `len()` of edges `extend_coloring` got
+    # as an iterator, or a record without `.seq`) is recorded as missing,
+    # its metrics are left out and the bench still exits 0. So, run as the
+    # bench runs it (each command once untraced, then each under the
+    # tracer), a job must leave nothing missing and give every per-layer
+    # value but the two the bench reads from files and wall times.
+    from mgcolor import cli
+
+    tracing = load_tracing()
+    monkeypatch.chdir(tmp_path)
+    g = mgcolor.gnp_graph(30, 0.2, seed=1)
+    Path("g.gr").write_text(mgcolor.format_dimacs(g))
+    Path("p.gr").write_text(mgcolor.format_dimacs(mgcolor.petersen_graph()))
+    ops = [["color", "g.gr", "-o", "g.col", *flags], ["check", "g.gr", "g.col"],
+           ["oracle", "p.gr"]]
+    tracer = tracing.Tracer()
+    job = []
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for argv in ops:
+            assert cli.main(argv) == 0
+        for argv in ops:
+            tracer.install()
+            try:
+                assert tracer.call("cli", cli.main, argv) == 0
+            finally:
+                tracer.uninstall()
+            job.append((argv[0], tracer.take()[0]))
+    assert tracer.missing == set()
+    values = tracing.layer_values([job])
+    assert set(tracing.PER_LAYER) - values.keys() == {"cli.trace_bytes", "trace.overhead"}
+    assert values["vizing.steps"] == g.m
+    assert values["fan.fan_len.mean"] >= 1
 
 
 def test_the_checker_imports_none_of_the_code_it_checks():

@@ -114,7 +114,7 @@ CASES = [
      path_error("edges along (3, 4, 5) do not alternate colors 0, 2")),
     ("path-non-edge", check_path, AltPath(0, 1, (3, 5)),
      path_error("edges along (3, 5) do not alternate colors 0, 1")),
-    ("path-one-vertex-unchecked", check_path, AltPath(0, 1, (9,)), None),
+    ("path-one-vertex-out-of-range", check_path, AltPath(0, 1, (9,)), range_error(9)),
     ("path-valid", check_path, AltPath(0, 1, (3, 4, 5)), None),
     # is_maximal_path
     ("maximal-path-empty", is_maximal_path, AltPath(0, 1, ()),

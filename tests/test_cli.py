@@ -330,6 +330,7 @@ class TestGenStats:
             ["gen", "cycle", "2"],               # too short
             ["gen", "moebius", "5"],             # unknown family
             ["gen", "petersen", "5"],            # petersen takes none
+            ["gen", "gnp", "5", "0.5", "7"],     # three params
         ],
     )
     def test_gen_bad_params_exit_2(self, argv, capsys):

@@ -175,8 +175,19 @@ class TestGenerators:
         with pytest.raises(BadParamsError):
             gen_family("petersen", n=5)
 
+    @pytest.mark.parametrize("family, n, p", [
+        ("complete", 5, 0.5), ("star", 3, 0.0), ("gnp", None, 0.5),
+        ("gnp", 5, None), ("petersen", None, 0.5), ("cycle", None, None),
+    ])
+    def test_gen_family_enforces_each_familys_parameters(self, family, n, p):
+        with pytest.raises(BadParamsError):
+            gen_family(family, n=n, p=p)
+
     def test_gen_family_dispatch(self):
         assert gen_family("complete", n=4).m == 6
+        assert gen_family("cycle", n=5) == cycle_graph(5)
+        assert gen_family("path", n=5) == path_graph(5)
+        assert gen_family("star", n=4) == star_graph(4)
         assert gen_family("petersen").n == 10
         assert gen_family("gnp", n=10, p=0.5, seed=42) == gnp_graph(10, 0.5, 42)
 
